@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .formulas import (
@@ -335,7 +336,14 @@ def build_arg_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_arg_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that went away shows up here, not at exit
+        return code
+    except BrokenPipeError:
+        # stdout's reader closed it (``| head``): stop without a traceback, and
+        # send what is still buffered where the interpreter's last flush works
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
     except (LexError, ParseError) as error:
         print(error, file=sys.stderr)
         return 1

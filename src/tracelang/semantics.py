@@ -6,12 +6,18 @@ formulas also admit the position just past the end (and PLDLf the position
 just before the start), which is where ``tt`` and ``ff`` part ways with
 ``true`` and ``false``: ``<true>tt`` demands a step to move through, ``tt``
 does not.
+
+Evaluation labels each subformula once with the set of positions where it
+holds, kept as an ``int`` bit set (path labelling, after Markey and
+Schnoebelen, "Model Checking a Path", CONCUR 2003), and then reads one bit.
+Modalities are predecessor transformers on those sets, ``<r>f = pre_r(S_f)``
+and ``[r]f = not <r> not f`` (De Giacomo and Vardi, IJCAI 2013).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from dataclasses import dataclass, field
+from typing import Callable, Iterable
 
 from .lexer import Logic
 from .formulas import (
@@ -68,14 +74,23 @@ class Trace:
     """An immutable finite trace; construct from any iterable of atom-name iterables."""
 
     steps: tuple[frozenset[str], ...] = ()
+    # bit i of atom_masks[name] is set when the atom holds at step i
+    atom_masks: dict[str, int] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         steps = tuple(frozenset(step) for step in self.steps)
-        for step in steps:
+        where: dict[str, list[int]] = {}
+        for i, step in enumerate(steps):
             for atom in step:
                 if not isinstance(atom, str):
                     raise TypeError(f"atom names must be strings, got {atom!r}")
+                where.setdefault(atom, []).append(i)
         object.__setattr__(self, "steps", steps)
+        object.__setattr__(
+            self, "atom_masks", {atom: _bits(at) for atom, at in where.items()}
+        )
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -84,32 +99,214 @@ class Trace:
         return self.steps[index]
 
 
+def _bits(positions: list[int]) -> int:
+    """The bit set of ascending ``positions``, in time linear in the last one."""
+    buffer = bytearray(positions[-1] // 8 + 1)
+    for i in positions:
+        buffer[i >> 3] |= 1 << (i & 7)
+    return int.from_bytes(buffer, "little")
+
+
+# ------------------------------------------------------------- labelling
+
+
+class _Labeller:
+    """Labels the formulas of one logic over one trace.
+
+    A label is the bit set of the positions where a formula holds.  Bit ``k``
+    stands for position ``k``, except under PLDLf, where it stands for
+    position ``k - 1``.  With ``logic`` None the labeller takes propositional
+    step formulas only, one bit per step.
+    """
+
+    def __init__(self, atom_masks: dict[str, int], n: int, logic: Logic | None):
+        self.atom_masks = atom_masks
+        self.n = n
+        self.steps = (1 << n) - 1
+        dynamic = logic in (Logic.LDLF, Logic.PLDLF)
+        self.full = (1 << n + 1) - 1 if dynamic else self.steps
+        self.rules, self.refusal = _RULES[logic]
+        self.forward = logic is not Logic.PLDLF
+        self.props = _Labeller(atom_masks, n, None) if dynamic else self
+
+    def label(self, f: Node) -> int:
+        # operands are labelled here, so each nesting level costs one frame
+        entry = self.rules.get(type(f))
+        if entry is None:
+            raise TypeError(f"{self.refusal}: {f!r}")
+        shape, rule = entry
+        if shape is _BINARY:
+            return rule(self, self.label(f.left), self.label(f.right))
+        if shape is _UNARY:
+            return rule(self, self.label(f.arg))
+        if shape is _MODAL:
+            return rule(self, self.pre(f.regex), self.label(f.arg))
+        return rule(self, f)
+
+    def since(self, a: int, b: int) -> int:
+        """``a S b``: adding ``b`` to ``u = a | b`` sends a carry up each run
+        of ``u`` from its first ``b``; the bits it clears, and ``b``, hold."""
+        u = a | b
+        return ((u & ~(u + b)) | b) & self.full
+
+    def until(self, a: int, b: int) -> int:
+        """``a U b``: ``a S b`` on the time-reversed masks."""
+        width = f"0{self.n}b"
+
+        def flip(x: int) -> int:
+            return int(format(x, width)[::-1], 2)
+
+        return flip(self.since(flip(a), flip(b)))
+
+    def always(self, a: int) -> int:
+        return self.full & ~((1 << (self.full & ~a).bit_length()) - 1)
+
+    def pre(self, r: Node) -> Callable[[int], int]:
+        """The predecessor transformer of ``r``: from a set of positions to
+        the positions where some path of ``r`` starts and ends inside it.
+
+        Steps and tests are labelled here, once, so the rounds of a star's
+        fixpoint are bit operations only.
+        """
+        cls = type(r)
+        if cls is RegexProp:
+            steps = self.props.label(r.prop)
+            if self.forward:  # step i moves from position i to i + 1
+                return lambda target: steps & (target >> 1)
+            steps <<= 1  # step i sits at the bit of position i and moves to i - 1
+            return lambda target: steps & (target << 1)
+        if cls is RegexTest:
+            holds = self.label(r.arg)
+            return lambda target: target & holds
+        if cls is RegexConcat:
+            first, then = self.pre(r.left), self.pre(r.right)
+            return lambda target: first(then(target))
+        if cls is RegexUnion:
+            left, right = self.pre(r.left), self.pre(r.right)
+            return lambda target: left(target) | right(target)
+        if cls is RegexStar:
+            step = self.pre(r.arg)
+
+            def star(target: int) -> int:
+                while True:
+                    grown = target | step(target)
+                    if grown == target:
+                        return target
+                    target = grown
+
+            return star
+        raise TypeError(f"not a regular-expression node: {r!r}")
+
+
+# A rule gets the labeller and, by the shape of its node: a leaf, the node
+# itself; a unary or binary node, the labels of its operands; a modality, the
+# transformer of its regex and the label of its argument.
+_LEAF, _UNARY, _BINARY, _MODAL = "leaf", "unary", "binary", "modal"
+
+_BOOLEAN = {
+    Not: (_UNARY, lambda s, a: s.full & ~a),
+    And: (_BINARY, lambda s, a, b: a & b),
+    Or: (_BINARY, lambda s, a, b: a | b),
+    Implies: (_BINARY, lambda s, a, b: (s.full & ~a) | b),
+    Equiv: (_BINARY, lambda s, a, b: s.full & ~(a ^ b)),
+    Xor: (_BINARY, lambda s, a, b: a ^ b),
+}
+_PROPOSITIONAL = {
+    Atom: (_LEAF, lambda s, f: s.atom_masks.get(f.name, 0)),
+    TrueConst: (_LEAF, lambda s, f: s.steps),
+    FalseConst: (_LEAF, lambda s, f: 0),
+    **_BOOLEAN,
+}
+_CONSTANTS = {
+    Tautology: (_LEAF, lambda s, f: s.full),
+    Contradiction: (_LEAF, lambda s, f: 0),
+}
+_DIAMOND = (_MODAL, lambda s, pre, a: pre(a))
+_BOX = (_MODAL, lambda s, pre, a: s.full & ~pre(s.full & ~a))
+
+# the rules each logic admits, and how it refuses any other node
+_RULES = {
+    None: (_PROPOSITIONAL, "not a propositional formula"),
+    Logic.LTLF: (
+        {
+            **_PROPOSITIONAL,
+            **_CONSTANTS,
+            Last: (_LEAF, lambda s, f: 1 << s.n - 1),
+            End: (_LEAF, lambda s, f: 0),
+            WeakNext: (_UNARY, lambda s, a: (a >> 1) | 1 << s.n - 1),
+            StrongNext: (_UNARY, lambda s, a: a >> 1),
+            Until: (_BINARY, _Labeller.until),
+            WeakUntil: (_BINARY, lambda s, a, b: s.until(a, b) | s.always(a)),
+            Release: (_BINARY, lambda s, a, b: s.until(b, a & b) | s.always(b)),
+            StrongRelease: (_BINARY, lambda s, a, b: s.until(b, a & b)),
+            Eventually: (_UNARY, lambda s, a: (1 << a.bit_length()) - 1),
+            Always: (_UNARY, _Labeller.always),
+        },
+        "not an LTLf formula",
+    ),
+    Logic.PLTLF: (
+        {
+            **_PROPOSITIONAL,
+            **_CONSTANTS,
+            First: (_LEAF, lambda s, f: 1),
+            Start: (_LEAF, lambda s, f: 0),
+            Before: (_UNARY, lambda s, a: (a << 1) & s.full),
+            Since: (_BINARY, _Labeller.since),
+            Once: (_UNARY, lambda s, a: s.since(s.full, a)),
+            Historically: (_UNARY, lambda s, a: s.full & ~s.since(s.full, s.full & ~a)),
+        },
+        "not a PLTLf formula",
+    ),
+    Logic.LDLF: (
+        {**_BOOLEAN, **_CONSTANTS, Diamond: _DIAMOND, Box: _BOX},
+        "not an LDLf formula at formula level",
+    ),
+    Logic.PLDLF: (
+        {**_BOOLEAN, **_CONSTANTS, BackDiamond: _DIAMOND, BackBox: _BOX},
+        "not a PLDLf formula at formula level",
+    ),
+}
+
+
+# ------------------------------------------------------------ evaluation
+
+
 def eval_prop(node: Node, step: Iterable[str]) -> bool:
     """Evaluate a purely propositional formula against one step."""
-    atoms = step if isinstance(step, (set, frozenset)) else frozenset(step)
-    return _prop(node, atoms)
+    return _Labeller(dict.fromkeys(step, 1), 1, None).label(node) == 1
 
 
-def _prop(node: Node, step) -> bool:
-    if isinstance(node, Atom):
-        return node.name in step
-    if isinstance(node, TrueConst):
-        return True
-    if isinstance(node, FalseConst):
-        return False
-    if isinstance(node, Not):
-        return not _prop(node.arg, step)
-    if isinstance(node, And):
-        return _prop(node.left, step) and _prop(node.right, step)
-    if isinstance(node, Or):
-        return _prop(node.left, step) or _prop(node.right, step)
-    if isinstance(node, Implies):
-        return (not _prop(node.left, step)) or _prop(node.right, step)
-    if isinstance(node, Equiv):
-        return _prop(node.left, step) == _prop(node.right, step)
-    if isinstance(node, Xor):
-        return _prop(node.left, step) != _prop(node.right, step)
-    raise TypeError(f"not a propositional formula: {node!r}")
+# each logic's name and the bounds of its positions on a trace of n steps,
+# as offsets from 0 and from n
+_POSITIONS = {
+    Logic.LTLF: ("LTLf", 0, -1),
+    Logic.PLTLF: ("PLTLf", 0, -1),
+    Logic.LDLF: ("LDLf", 0, 0),
+    Logic.PLDLF: ("PLDLf", -1, -1),
+}
+
+
+# the last label computed, with strong references to what it was computed for
+_last: tuple = (None, None, None, 0)
+
+
+def _evaluate(node: Node, trace: Trace, logic: Logic, position: int) -> bool:
+    """Read one bit of the label of ``node``.  The last label is kept, so
+    asking about every position of one trace in turn labels only once."""
+    global _last
+    name, low, high = _POSITIONS[logic]
+    n = len(trace)
+    if n + high < low:
+        raise EmptyTraceError(f"{name} formulas have no value on the empty trace")
+    if not low <= position <= n + high:
+        raise PositionOutOfRangeError(
+            f"position {position} outside [{low}, {n + high}]"
+        )
+    last = _last
+    if not (last[0] is node and last[1] is trace and last[2] is logic):
+        label = _Labeller(trace.atom_masks, n, logic).label(node)
+        last = _last = (node, trace, logic, label)
+    return bool(last[3] >> (position - low) & 1)
 
 
 def eval_ltlf(node: Node, trace: Trace, position: int) -> bool:
@@ -117,125 +314,12 @@ def eval_ltlf(node: Node, trace: Trace, position: int) -> bool:
 
     The empty trace has no positions and raises :class:`EmptyTraceError`.
     """
-    n = len(trace)
-    if n == 0:
-        raise EmptyTraceError("LTLf formulas have no value on the empty trace")
-    if not 0 <= position < n:
-        raise PositionOutOfRangeError(
-            f"position {position} outside [0, {n - 1}]"
-        )
-    return _ltlf(node, trace, position)
-
-
-def _ltlf(f: Node, t: Trace, i: int) -> bool:
-    n = len(t)
-    if isinstance(f, (Atom, TrueConst, FalseConst)):
-        return _prop(f, t[i])
-    if isinstance(f, Tautology):
-        return True
-    if isinstance(f, Contradiction):
-        return False
-    if isinstance(f, Last):
-        return i == n - 1
-    if isinstance(f, End):
-        return False
-    if isinstance(f, Not):
-        return not _ltlf(f.arg, t, i)
-    if isinstance(f, And):
-        return _ltlf(f.left, t, i) and _ltlf(f.right, t, i)
-    if isinstance(f, Or):
-        return _ltlf(f.left, t, i) or _ltlf(f.right, t, i)
-    if isinstance(f, Implies):
-        return (not _ltlf(f.left, t, i)) or _ltlf(f.right, t, i)
-    if isinstance(f, Equiv):
-        return _ltlf(f.left, t, i) == _ltlf(f.right, t, i)
-    if isinstance(f, Xor):
-        return _ltlf(f.left, t, i) != _ltlf(f.right, t, i)
-    if isinstance(f, WeakNext):
-        return i == n - 1 or _ltlf(f.arg, t, i + 1)
-    if isinstance(f, StrongNext):
-        return i < n - 1 and _ltlf(f.arg, t, i + 1)
-    if isinstance(f, Until):
-        return any(
-            _ltlf(f.right, t, j)
-            and all(_ltlf(f.left, t, k) for k in range(i, j))
-            for j in range(i, n)
-        )
-    if isinstance(f, WeakUntil):
-        # until, or the left side holds through the end of the trace
-        return all(_ltlf(f.left, t, j) for j in range(i, n)) or _ltlf(
-            Until(f.left, f.right), t, i
-        )
-    if isinstance(f, Release):
-        # dual of until: the right side holds until (and including when)
-        # the left side first does, or forever
-        return all(
-            _ltlf(f.right, t, j)
-            or any(_ltlf(f.left, t, k) for k in range(i, j))
-            for j in range(i, n)
-        )
-    if isinstance(f, StrongRelease):
-        return any(
-            _ltlf(f.left, t, j)
-            and _ltlf(f.right, t, j)
-            and all(_ltlf(f.right, t, k) for k in range(i, j))
-            for j in range(i, n)
-        )
-    if isinstance(f, Eventually):
-        return any(_ltlf(f.arg, t, j) for j in range(i, n))
-    if isinstance(f, Always):
-        return all(_ltlf(f.arg, t, j) for j in range(i, n))
-    raise TypeError(f"not an LTLf formula: {f!r}")
+    return _evaluate(node, trace, Logic.LTLF, position)
 
 
 def eval_pltlf(node: Node, trace: Trace, position: int) -> bool:
     """Evaluate a PLTLf formula at ``position``; past operators look toward 0."""
-    n = len(trace)
-    if n == 0:
-        raise EmptyTraceError("PLTLf formulas have no value on the empty trace")
-    if not 0 <= position < n:
-        raise PositionOutOfRangeError(
-            f"position {position} outside [0, {n - 1}]"
-        )
-    return _pltlf(node, trace, position)
-
-
-def _pltlf(f: Node, t: Trace, i: int) -> bool:
-    if isinstance(f, (Atom, TrueConst, FalseConst)):
-        return _prop(f, t[i])
-    if isinstance(f, Tautology):
-        return True
-    if isinstance(f, Contradiction):
-        return False
-    if isinstance(f, First):
-        return i == 0
-    if isinstance(f, Start):
-        return False
-    if isinstance(f, Not):
-        return not _pltlf(f.arg, t, i)
-    if isinstance(f, And):
-        return _pltlf(f.left, t, i) and _pltlf(f.right, t, i)
-    if isinstance(f, Or):
-        return _pltlf(f.left, t, i) or _pltlf(f.right, t, i)
-    if isinstance(f, Implies):
-        return (not _pltlf(f.left, t, i)) or _pltlf(f.right, t, i)
-    if isinstance(f, Equiv):
-        return _pltlf(f.left, t, i) == _pltlf(f.right, t, i)
-    if isinstance(f, Xor):
-        return _pltlf(f.left, t, i) != _pltlf(f.right, t, i)
-    if isinstance(f, Before):
-        return i > 0 and _pltlf(f.arg, t, i - 1)
-    if isinstance(f, Since):
-        return any(
-            _pltlf(f.right, t, j)
-            and all(_pltlf(f.left, t, k) for k in range(j + 1, i + 1))
-            for j in range(0, i + 1)
-        )
-    if isinstance(f, Once):
-        return any(_pltlf(f.arg, t, j) for j in range(0, i + 1))
-    if isinstance(f, Historically):
-        return all(_pltlf(f.arg, t, j) for j in range(0, i + 1))
-    raise TypeError(f"not a PLTLf formula: {f!r}")
+    return _evaluate(node, trace, Logic.PLTLF, position)
 
 
 def eval_ldlf(node: Node, trace: Trace, position: int) -> bool:
@@ -244,36 +328,7 @@ def eval_ldlf(node: Node, trace: Trace, position: int) -> bool:
     The position just past the last step is legal: ``tt`` still holds there,
     while any diamond that needs to move does not.
     """
-    n = len(trace)
-    if not 0 <= position <= n:
-        raise PositionOutOfRangeError(f"position {position} outside [0, {n}]")
-    return _ldlf(node, trace, position)
-
-
-def _ldlf(f: Node, t: Trace, i: int) -> bool:
-    if isinstance(f, Tautology):
-        return True
-    if isinstance(f, Contradiction):
-        return False
-    if isinstance(f, Not):
-        return not _ldlf(f.arg, t, i)
-    if isinstance(f, And):
-        return _ldlf(f.left, t, i) and _ldlf(f.right, t, i)
-    if isinstance(f, Or):
-        return _ldlf(f.left, t, i) or _ldlf(f.right, t, i)
-    if isinstance(f, Implies):
-        return (not _ldlf(f.left, t, i)) or _ldlf(f.right, t, i)
-    if isinstance(f, Equiv):
-        return _ldlf(f.left, t, i) == _ldlf(f.right, t, i)
-    if isinstance(f, Xor):
-        return _ldlf(f.left, t, i) != _ldlf(f.right, t, i)
-    if isinstance(f, Diamond):
-        reach = regex_reach(f.regex, t, "forward")
-        return any(j == i and _ldlf(f.arg, t, k) for j, k in reach)
-    if isinstance(f, Box):
-        reach = regex_reach(f.regex, t, "forward")
-        return all(_ldlf(f.arg, t, k) for j, k in reach if j == i)
-    raise TypeError(f"not an LDLf formula at formula level: {f!r}")
+    return _evaluate(node, trace, Logic.LDLF, position)
 
 
 def eval_pldlf(node: Node, trace: Trace, position: int) -> bool:
@@ -282,38 +337,7 @@ def eval_pldlf(node: Node, trace: Trace, position: int) -> bool:
     The position just before the first step is legal, mirroring LDLf's
     position past the end.
     """
-    n = len(trace)
-    if not -1 <= position <= n - 1:
-        raise PositionOutOfRangeError(
-            f"position {position} outside [-1, {n - 1}]"
-        )
-    return _pldlf(node, trace, position)
-
-
-def _pldlf(f: Node, t: Trace, i: int) -> bool:
-    if isinstance(f, Tautology):
-        return True
-    if isinstance(f, Contradiction):
-        return False
-    if isinstance(f, Not):
-        return not _pldlf(f.arg, t, i)
-    if isinstance(f, And):
-        return _pldlf(f.left, t, i) and _pldlf(f.right, t, i)
-    if isinstance(f, Or):
-        return _pldlf(f.left, t, i) or _pldlf(f.right, t, i)
-    if isinstance(f, Implies):
-        return (not _pldlf(f.left, t, i)) or _pldlf(f.right, t, i)
-    if isinstance(f, Equiv):
-        return _pldlf(f.left, t, i) == _pldlf(f.right, t, i)
-    if isinstance(f, Xor):
-        return _pldlf(f.left, t, i) != _pldlf(f.right, t, i)
-    if isinstance(f, BackDiamond):
-        reach = regex_reach(f.regex, t, "backward")
-        return any(j == i and _pldlf(f.arg, t, k) for j, k in reach)
-    if isinstance(f, BackBox):
-        reach = regex_reach(f.regex, t, "backward")
-        return all(_pldlf(f.arg, t, k) for j, k in reach if j == i)
-    raise TypeError(f"not a PLDLf formula at formula level: {f!r}")
+    return _evaluate(node, trace, Logic.PLDLF, position)
 
 
 def regex_reach(
@@ -324,62 +348,22 @@ def regex_reach(
     Forward relations live on positions ``0..len(trace)`` and a propositional
     step moves from ``i`` to ``i + 1``; backward relations live on
     ``-1..len(trace) - 1`` and a step moves from ``i`` to ``i - 1``.  Tests
-    stay in place and re-enter the owning logic's evaluation (LDLf when
-    moving forward, PLDLf when moving backward).
+    stay in place and hold where the owning logic (LDLf when moving forward,
+    PLDLf when moving backward) labels them.  Evaluation never builds this
+    relation; it reads the same paths one target set at a time.
     """
     if direction not in ("forward", "backward"):
         raise ValueError(f"direction must be 'forward' or 'backward', got {direction!r}")
     n = len(trace)
     forward = direction == "forward"
-    positions = range(0, n + 1) if forward else range(-1, n)
-    return _reach(regex, trace, positions, forward)
-
-
-def _reach(r: Node, t: Trace, positions: range, forward: bool) -> frozenset[tuple[int, int]]:
-    if isinstance(r, RegexProp):
-        if forward:
-            return frozenset(
-                (i, i + 1) for i in range(len(t)) if _prop(r.prop, t[i])
-            )
-        return frozenset((i, i - 1) for i in range(len(t)) if _prop(r.prop, t[i]))
-    if isinstance(r, RegexTest):
-        check = _ldlf if forward else _pldlf
-        return frozenset((i, i) for i in positions if check(r.arg, t, i))
-    if isinstance(r, RegexConcat):
-        return _compose(
-            _reach(r.left, t, positions, forward),
-            _reach(r.right, t, positions, forward),
-        )
-    if isinstance(r, RegexUnion):
-        return _reach(r.left, t, positions, forward) | _reach(
-            r.right, t, positions, forward
-        )
-    if isinstance(r, RegexStar):
-        return _closure(_reach(r.arg, t, positions, forward), positions)
-    raise TypeError(f"not a regular-expression node: {r!r}")
-
-
-def _compose(
-    a: frozenset[tuple[int, int]], b: frozenset[tuple[int, int]]
-) -> frozenset[tuple[int, int]]:
-    by_source: dict[int, set[int]] = {}
-    for j, k in b:
-        by_source.setdefault(j, set()).add(k)
-    return frozenset(
-        (i, k) for i, j in a for k in by_source.get(j, ())
-    )
-
-
-def _closure(
-    base: frozenset[tuple[int, int]], positions: range
-) -> frozenset[tuple[int, int]]:
-    """Reflexive-transitive closure over ``positions`` by fixpoint iteration."""
-    relation = frozenset((i, i) for i in positions)
-    while True:
-        extended = relation | _compose(relation, base)
-        if extended == relation:
-            return relation
-        relation = extended
+    low = 0 if forward else -1  # the position of bit 0
+    logic = Logic.LDLF if forward else Logic.PLDLF
+    pre = _Labeller(trace.atom_masks, n, logic).pre(regex)
+    pairs: set[tuple[int, int]] = set()
+    for j in range(n + 1):
+        sources = pre(1 << j)
+        pairs.update((i + low, j + low) for i in range(n + 1) if sources >> i & 1)
+    return frozenset(pairs)
 
 
 def satisfies(node: Node, trace: Trace, logic: Logic) -> bool:
@@ -389,14 +373,7 @@ def satisfies(node: Node, trace: Trace, logic: Logic) -> bool:
     logics at the last; the dynamic logics keep their off-the-end position
     for the empty trace, while LTLf and PLTLf reject it.
     """
-    if logic is Logic.LTLF:
-        return eval_ltlf(node, trace, 0)
-    if logic is Logic.PLTLF:
-        if len(trace) == 0:
-            raise EmptyTraceError("PLTLf formulas have no value on the empty trace")
-        return eval_pltlf(node, trace, len(trace) - 1)
-    if logic is Logic.LDLF:
-        return eval_ldlf(node, trace, 0)
-    if logic is Logic.PLDLF:
-        return eval_pldlf(node, trace, len(trace) - 1)
-    raise ValueError(f"unknown logic: {logic!r}")
+    if not isinstance(logic, Logic):
+        raise ValueError(f"unknown logic: {logic!r}")
+    past = logic in (Logic.PLTLF, Logic.PLDLF)
+    return _evaluate(node, trace, logic, len(trace) - 1 if past else 0)

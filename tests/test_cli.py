@@ -4,9 +4,14 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tracelang
 from tracelang import formula_to_dict, parse_ldlf, parse_ltlf
 from tracelang.cli import main
 
@@ -274,3 +279,23 @@ def test_usage_errors_exit_with_two(tmp_path):
         with pytest.raises(SystemExit) as info:
             main(argv)
         assert info.value.code == 2
+
+
+def test_a_closed_stdout_ends_quietly():
+    # as in `tracelang conformance corpus.jsonl | head -1`: the reader is gone
+    # (here before the first write, so the outcome does not race)
+    corpus = Path(__file__).resolve().parents[1] / "conformance" / "corpus.jsonl"
+    env = dict(os.environ, PYTHONPATH=str(Path(tracelang.__file__).parents[1]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from tracelang.cli import main; sys.exit(main())",
+             "conformance", str(corpus)],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert done.stderr == b""
+    assert done.returncode == 2

@@ -1,0 +1,217 @@
+"""The labelling evaluator: agreement with the recursive evaluators it
+replaced, its running time on inputs that blew the old ones up, and the
+type checks it makes on every node."""
+
+from __future__ import annotations
+
+import random
+import time
+
+import pytest
+
+import tracelang.semantics as semantics
+from tracelang import (
+    Always,
+    And,
+    Atom,
+    Before,
+    Diamond,
+    Eventually,
+    FalseConst,
+    Historically,
+    Logic,
+    Once,
+    Or,
+    RegexProp,
+    Release,
+    Since,
+    StrongNext,
+    StrongRelease,
+    Tautology,
+    Trace,
+    TrueConst,
+    Until,
+    WeakNext,
+    WeakUntil,
+    eval_ldlf,
+    eval_ltlf,
+    eval_pldlf,
+    eval_pltlf,
+    eval_prop,
+    parse,
+    satisfies,
+)
+from conftest import all_traces
+from formula_gen import gen_formula
+from recursive_oracle import evaluate
+
+p, q = Atom("p"), Atom("q")
+
+EVALUATORS = {
+    Logic.LTLF: eval_ltlf,
+    Logic.PLTLF: eval_pltlf,
+    Logic.LDLF: eval_ldlf,
+    Logic.PLDLF: eval_pldlf,
+}
+
+
+def positions(logic, n):
+    """Every legal position: the dynamic logics add ``n`` and ``-1``."""
+    if logic is Logic.LDLF:
+        return range(0, n + 1)
+    if logic is Logic.PLDLF:
+        return range(-1, n)
+    return range(0, n)
+
+
+# ------------------------------------------------------ differential oracle
+
+
+@pytest.mark.parametrize("logic", list(Logic), ids=lambda logic: logic.value)
+def test_labelling_agrees_with_the_recursive_evaluators(logic):
+    rng = random.Random(7411)
+    formulas = [gen_formula(rng, logic, ("p", "q"), depth=rng.choice((2, 3, 4)))
+                for _ in range(48)]
+    evaluate_at = EVALUATORS[logic]
+    for trace in all_traces(range(0, 5)):
+        for f in formulas:
+            for i in positions(logic, len(trace)):
+                got = evaluate_at(f, trace, i)
+                assert got == evaluate(f, trace, logic, i), (f, trace.steps, i)
+            if len(trace) or logic in (Logic.LDLF, Logic.PLDLF):
+                anchor = len(trace) - 1 if logic in (Logic.PLTLF, Logic.PLDLF) else 0
+                assert satisfies(f, trace, logic) == evaluate(f, trace, logic, anchor)
+
+
+TEMPORAL = {
+    Logic.LTLF: ((WeakNext, StrongNext, Eventually, Always),
+                 (Until, WeakUntil, Release, StrongRelease)),
+    Logic.PLTLF: ((Before, Once, Historically), (Since,)),
+}
+
+
+@pytest.mark.parametrize("logic", list(TEMPORAL), ids=lambda logic: logic.value)
+def test_every_temporal_operator_agrees_alone_and_nested_once(logic):
+    unary, binary = TEMPORAL[logic]
+    alone = [op(p) for op in unary] + [op(p, q) for op in binary]
+    formulas = alone + [
+        nested
+        for f in alone
+        for nested in [op(f) for op in unary]
+        + [op(f, q) for op in binary] + [op(q, f) for op in binary]
+    ]
+    for trace in all_traces(range(1, 5)):
+        for f in formulas:
+            for i in range(len(trace)):
+                got = EVALUATORS[logic](f, trace, i)
+                assert got == evaluate(f, trace, logic, i), (f, trace.steps, i)
+
+
+# ------------------------------------------------------------- blow-ups
+
+
+def timed(work):
+    start = time.perf_counter()
+    result = work()
+    return result, time.perf_counter() - start
+
+
+def test_nested_since_at_every_position_is_fast():
+    rng = random.Random(5)
+    trace = Trace([{a for a in "pqr" if rng.random() < 0.4} for _ in range(200)])
+    f = parse("(p S q) S r", Logic.PLTLF)
+    verdicts, elapsed = timed(
+        lambda: [eval_pltlf(f, trace, i) for i in range(len(trace))])
+    assert elapsed < 2.0
+    assert verdicts[:12] == [evaluate(f, trace, Logic.PLTLF, i) for i in range(12)]
+
+
+def test_star_under_a_box_is_fast():
+    # b only at the last step; true* also reaches the position past it,
+    # where no step is left to take, so the box fails everywhere
+    trace = Trace([set()] * 79 + [{"b"}])
+    f = parse("[true*]<true*;b>tt", Logic.LDLF)
+    g = parse("<true*;b>tt", Logic.LDLF)
+    (boxes, diamonds), elapsed = timed(lambda: (
+        [eval_ldlf(f, trace, i) for i in range(len(trace) + 1)],
+        [eval_ldlf(g, trace, i) for i in range(len(trace) + 1)],
+    ))
+    assert elapsed < 2.0
+    assert boxes == [False] * 81
+    assert diamonds == [True] * 80 + [False]
+
+
+def test_globally_until_is_fast():
+    trace = Trace([{"a"}] * 399 + [{"a", "b"}])
+    f = parse("G(a U b)", Logic.LTLF)
+    (holds, broken), elapsed = timed(lambda: (
+        eval_ltlf(f, trace, 0),
+        eval_ltlf(f, Trace([{"a"}] * 400), 0),
+    ))
+    assert elapsed < 2.0
+    assert (holds, broken) == (True, False)
+
+
+# --------------------------------------------------------- labelling once
+
+
+def test_one_labelling_serves_every_position_and_only_the_last_is_kept(monkeypatch):
+    built = []
+
+    class Counting(semantics._Labeller):
+        def __init__(self, *args):
+            built.append(args[2])
+            super().__init__(*args)
+
+    monkeypatch.setattr(semantics, "_Labeller", Counting)
+    trace = Trace([{"p"}, {"q"}, {"p"}, set()])
+    f, g = Since(p, q), Since(q, p)
+    for i in range(len(trace)):
+        eval_pltlf(f, trace, i)
+    assert len(built) == 1
+    eval_pltlf(g, trace, 0)
+    eval_pltlf(f, trace, 0)
+    assert len(built) == 3
+    # an equal but distinct trace is labelled afresh
+    eval_pltlf(f, Trace(trace.steps), 0)
+    assert len(built) == 4
+
+
+def test_atom_masks_do_not_affect_equality():
+    assert Trace([{"p"}, set()]).atom_masks == {"p": 0b01}
+    assert Trace([set(), {"p", "q"}]).atom_masks == {"p": 0b10, "q": 0b10}
+    assert Trace([{"p"}]) == Trace([["p", "p"]])
+    assert hash(Trace([{"p"}])) == hash(Trace([["p"]]))
+    assert repr(Trace([{"p"}])) == "Trace(steps=(frozenset({'p'}),))"
+
+
+# ------------------------------------------------------------ type checks
+
+
+@pytest.mark.parametrize(
+    "node, trace, logic, message",
+    [
+        # the old evaluators short-circuited past the foreign right operand
+        (And(FalseConst(), Until(p, q)), Trace([set()]), Logic.PLTLF,
+         "not a PLTLf formula"),
+        (Or(TrueConst(), Since(p, q)), Trace([set()]), Logic.LTLF,
+         "not an LTLf formula"),
+        (Or(Tautology(), p), Trace([set()]), Logic.LDLF,
+         "not an LDLf formula at formula level"),
+        (Or(Tautology(), Diamond(RegexProp(p), Tautology())), Trace(), Logic.PLDLF,
+         "not a PLDLf formula at formula level"),
+        # a step is checked even where the trace has none to take
+        (Diamond(RegexProp(Eventually(p)), Tautology()), Trace(), Logic.LDLF,
+         "not a propositional formula"),
+        (Diamond(p, Tautology()), Trace(), Logic.LDLF,
+         "not a regular-expression node"),
+    ],
+)
+def test_every_node_is_type_checked(node, trace, logic, message):
+    with pytest.raises(TypeError, match=message):
+        satisfies(node, trace, logic)
+
+
+def test_eval_prop_checks_every_node():
+    with pytest.raises(TypeError, match="not a propositional formula"):
+        eval_prop(Or(TrueConst(), Eventually(p)), {"p"})
