@@ -39,7 +39,7 @@ from .semantics import (
     regex_reach,
     satisfies,
 )
-from .cli import formula_to_dict
+from .serialize import formula_to_dict
 
 __all__ = list(_formulas_all) + [
     "KEYWORDS",

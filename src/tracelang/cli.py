@@ -14,114 +14,11 @@ import json
 import os
 import sys
 
-from .formulas import (
-    Always,
-    And,
-    Atom,
-    BackBox,
-    BackDiamond,
-    Before,
-    Box,
-    Contradiction,
-    Diamond,
-    End,
-    Equiv,
-    Eventually,
-    FalseConst,
-    First,
-    Historically,
-    Implies,
-    Last,
-    Node,
-    Not,
-    Once,
-    Or,
-    RegexConcat,
-    RegexProp,
-    RegexStar,
-    RegexTest,
-    RegexUnion,
-    Release,
-    Since,
-    Start,
-    StrongNext,
-    StrongRelease,
-    Tautology,
-    TrueConst,
-    Until,
-    WeakNext,
-    WeakUntil,
-    Xor,
-    children,
-)
 from .lexer import LexError, Logic
 from .parser import ParseError, parse
 from .printer import Style, format_formula
 from .semantics import EmptyTraceError, Trace, satisfies
-
-_LEAF_NAMES: dict[type, str] = {
-    TrueConst: "true",
-    FalseConst: "false",
-    Tautology: "tt",
-    Contradiction: "ff",
-    Last: "last",
-    End: "end",
-    First: "first",
-    Start: "start",
-}
-_MODAL_NAMES: dict[type, str] = {
-    Diamond: "diamond",
-    Box: "box",
-    BackDiamond: "back_diamond",
-    BackBox: "back_box",
-}
-# note: the strong next serialises as "next", the weak next as "weak_next"
-_OP_NAMES: dict[type, str] = {
-    Not: "not",
-    And: "and",
-    Or: "or",
-    Implies: "impl",
-    Equiv: "equiv",
-    Xor: "xor",
-    Until: "until",
-    WeakUntil: "weak_until",
-    Release: "release",
-    StrongRelease: "strong_release",
-    Eventually: "eventually",
-    Always: "always",
-    StrongNext: "next",
-    WeakNext: "weak_next",
-    Since: "since",
-    Once: "once",
-    Historically: "historically",
-    Before: "before",
-    RegexProp: "prop",
-    RegexTest: "test",
-    RegexConcat: "concat",
-    RegexUnion: "union",
-    RegexStar: "star",
-}
-
-
-def formula_to_dict(node: Node) -> dict:
-    """The JSON-ready form of a syntax tree, with fixed key order."""
-    cls = type(node)
-    if cls is Atom:
-        return {"op": "atom", "name": node.name}  # type: ignore[attr-defined]
-    if cls in _LEAF_NAMES:
-        return {"op": _LEAF_NAMES[cls]}
-    if cls in _MODAL_NAMES:
-        return {
-            "op": _MODAL_NAMES[cls],
-            "regex": formula_to_dict(node.regex),  # type: ignore[attr-defined]
-            "arg": formula_to_dict(node.arg),  # type: ignore[attr-defined]
-        }
-    if cls in _OP_NAMES:
-        return {
-            "op": _OP_NAMES[cls],
-            "args": [formula_to_dict(child) for child in children(node)],
-        }
-    raise TypeError(f"cannot serialise {node!r}")
+from .serialize import formula_to_dict
 
 
 class _CliError(Exception):
@@ -310,9 +207,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     fmt.set_defaults(func=_cmd_fmt)
 
     ast_cmd = formula_command("ast", "print the syntax tree as JSON")
-    ast_cmd.add_argument(
-        "--format", choices=["json"], default="json", help="output format"
-    )
     ast_cmd.set_defaults(func=_cmd_ast)
 
     eval_cmd = formula_command("eval", "evaluate a formula against a trace")

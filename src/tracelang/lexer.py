@@ -185,7 +185,7 @@ _COMMON = frozenset(
         _K.RPAREN,
     }
 )
-_REGEX_KINDS = frozenset({_K.TEST, _K.CONCAT, _K.UNION, _K.STAR})
+REGEX_KINDS = frozenset({_K.TEST, _K.CONCAT, _K.UNION, _K.STAR})
 
 ACTIVE_KINDS: dict[Logic, frozenset[TokenKind]] = {
     Logic.LTLF: _COMMON
@@ -203,8 +203,8 @@ ACTIVE_KINDS: dict[Logic, frozenset[TokenKind]] = {
     },
     Logic.PLTLF: _COMMON
     | {_K.FIRST, _K.START, _K.BEFORE, _K.SINCE, _K.ONCE, _K.HISTORICALLY},
-    Logic.LDLF: _COMMON | _REGEX_KINDS | {_K.LDIAM, _K.RDIAM, _K.LBOX, _K.RBOX},
-    Logic.PLDLF: _COMMON | _REGEX_KINDS | {_K.LBDIAM, _K.RBDIAM, _K.LBBOX, _K.RBBOX},
+    Logic.LDLF: _COMMON | REGEX_KINDS | {_K.LDIAM, _K.RDIAM, _K.LBOX, _K.RBOX},
+    Logic.PLDLF: _COMMON | REGEX_KINDS | {_K.LBDIAM, _K.RBDIAM, _K.LBBOX, _K.RBBOX},
 }
 
 _NAME_START = frozenset("abcdefghijklmnopqrstuvwxyz_")

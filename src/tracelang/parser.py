@@ -1,10 +1,12 @@
-"""Parsers for the four logics, driven by their operator precedence tables.
+"""Parsers for the four logics, driven by one operator table and one precedence order.
 
-Each logic has one table, ordered loosest-binding first; a row's index is its
-binding strength.  The same precedence-climbing engine interprets the formula
-rows, the regular-expression rows (LDLf and PLDLf only), and the propositional
-sub-grammar used for single-step regexes, so the tables below are the single
-source of truth for how operators group.
+``OPERATORS`` gives each node class its token, canonical spelling and JSON
+name; ``PRECEDENCE`` orders every operator of the four logics, loosest-binding
+first.  Each logic's table is that order cut down to the tokens the logic
+has, and a row's index is its binding strength.  The same precedence-climbing
+engine interprets the formula rows, the regular-expression rows (LDLf and
+PLDLf only), and the propositional sub-grammar used for single-step regexes.
+The printer and the JSON serialiser read the same two facts.
 """
 
 from __future__ import annotations
@@ -51,7 +53,15 @@ from .formulas import (
     Xor,
     Always,
 )
-from .lexer import Logic, SourceError, Token, TokenKind, tokenize
+from .lexer import (
+    ACTIVE_KINDS,
+    REGEX_KINDS,
+    Logic,
+    SourceError,
+    Token,
+    TokenKind,
+    tokenize,
+)
 
 _K = TokenKind
 
@@ -76,23 +86,73 @@ def _level(assoc: Assoc, *kinds: TokenKind) -> Level:
     return Level(frozenset(kinds), assoc)
 
 
-LTLF_TABLE: tuple[Level, ...] = (
-    _level(Assoc.RIGHT, _K.IMPL, _K.EQUIV),
-    _level(Assoc.LEFT, _K.XOR),
-    _level(Assoc.LEFT, _K.OR),
-    _level(Assoc.LEFT, _K.AND),
-    _level(Assoc.RIGHT, _K.UNTIL, _K.WEAK_UNTIL, _K.STRONG_RELEASE, _K.RELEASE),
-    _level(Assoc.PREFIX, _K.EVENTUALLY, _K.ALWAYS),
-    _level(Assoc.PREFIX, _K.WEAK_NEXT, _K.STRONG_NEXT),
-    _level(Assoc.PREFIX, _K.NOT),
-)
+@dataclass(frozen=True)
+class Operator:
+    """How one node class is written and named.
 
-LDLF_TABLE: tuple[Level, ...] = (
+    ``kind`` is the token that builds the node, ``spelling`` its canonical
+    text and ``json`` its name in serialised trees.  A modality's spelling is
+    its bracket pair and ``closer`` the token of the closing bracket; a regex
+    step has no operator, so no kind and no spelling.
+    """
+
+    kind: TokenKind | None
+    spelling: str | tuple[str, str] | None
+    json: str
+    closer: TokenKind | None = None
+
+
+# One row per node class; only Atom, which has a name instead, is handled apart.
+OPERATORS: dict[type, Operator] = {
+    TrueConst: Operator(_K.TRUE, "true", "true"),
+    FalseConst: Operator(_K.FALSE, "false", "false"),
+    Tautology: Operator(_K.TT, "tt", "tt"),
+    Contradiction: Operator(_K.FF, "ff", "ff"),
+    Last: Operator(_K.LAST, "last", "last"),
+    End: Operator(_K.END, "end", "end"),
+    First: Operator(_K.FIRST, "first", "first"),
+    Start: Operator(_K.START, "start", "start"),
+    Not: Operator(_K.NOT, "!", "not"),
+    And: Operator(_K.AND, "&", "and"),
+    Or: Operator(_K.OR, "|", "or"),
+    Implies: Operator(_K.IMPL, "->", "impl"),
+    Equiv: Operator(_K.EQUIV, "<->", "equiv"),
+    Xor: Operator(_K.XOR, "^", "xor"),
+    WeakNext: Operator(_K.WEAK_NEXT, "X", "weak_next"),
+    StrongNext: Operator(_K.STRONG_NEXT, "X[!]", "next"),
+    Until: Operator(_K.UNTIL, "U", "until"),
+    WeakUntil: Operator(_K.WEAK_UNTIL, "W", "weak_until"),
+    Release: Operator(_K.RELEASE, "R", "release"),
+    StrongRelease: Operator(_K.STRONG_RELEASE, "M", "strong_release"),
+    Eventually: Operator(_K.EVENTUALLY, "F", "eventually"),
+    Always: Operator(_K.ALWAYS, "G", "always"),
+    Before: Operator(_K.BEFORE, "Y", "before"),
+    Since: Operator(_K.SINCE, "S", "since"),
+    Once: Operator(_K.ONCE, "O", "once"),
+    Historically: Operator(_K.HISTORICALLY, "H", "historically"),
+    Diamond: Operator(_K.LDIAM, ("<", ">"), "diamond", _K.RDIAM),
+    Box: Operator(_K.LBOX, ("[", "]"), "box", _K.RBOX),
+    BackDiamond: Operator(_K.LBDIAM, ("<<", ">>"), "back_diamond", _K.RBDIAM),
+    BackBox: Operator(_K.LBBOX, ("[[", "]]"), "back_box", _K.RBBOX),
+    RegexProp: Operator(None, None, "prop"),
+    RegexTest: Operator(_K.TEST, "?", "test"),
+    RegexConcat: Operator(_K.CONCAT, ";", "concat"),
+    RegexUnion: Operator(_K.UNION, "+", "union"),
+    RegexStar: Operator(_K.STAR, "*", "star"),
+}
+
+# All operators of all four logics, loosest-binding first.  A logic's table
+# keeps the operators it has, so a row's index orders the same rows in every
+# logic, and the printer can use it as a binding strength for any tree.
+PRECEDENCE: tuple[Level, ...] = (
     _level(Assoc.RIGHT, _K.IMPL, _K.EQUIV),
     _level(Assoc.LEFT, _K.XOR),
     _level(Assoc.LEFT, _K.OR),
     _level(Assoc.LEFT, _K.AND),
-    _level(Assoc.MODALITY, _K.LDIAM, _K.LBOX),
+    _level(Assoc.RIGHT, _K.UNTIL, _K.WEAK_UNTIL, _K.STRONG_RELEASE, _K.RELEASE, _K.SINCE),
+    _level(Assoc.MODALITY, _K.LDIAM, _K.LBOX, _K.LBDIAM, _K.LBBOX),
+    _level(Assoc.PREFIX, _K.EVENTUALLY, _K.ALWAYS, _K.ONCE, _K.HISTORICALLY),
+    _level(Assoc.PREFIX, _K.WEAK_NEXT, _K.STRONG_NEXT, _K.BEFORE),
     # regex-internal rows: concatenation binds loosest, so "a + b ; c"
     # concatenates the union with c
     _level(Assoc.LEFT, _K.CONCAT),
@@ -102,35 +162,13 @@ LDLF_TABLE: tuple[Level, ...] = (
     _level(Assoc.PREFIX, _K.NOT),
 )
 
-PLTLF_TABLE: tuple[Level, ...] = (
-    _level(Assoc.RIGHT, _K.IMPL, _K.EQUIV),
-    _level(Assoc.LEFT, _K.XOR),
-    _level(Assoc.LEFT, _K.OR),
-    _level(Assoc.LEFT, _K.AND),
-    _level(Assoc.RIGHT, _K.SINCE),
-    _level(Assoc.PREFIX, _K.ONCE, _K.HISTORICALLY),
-    _level(Assoc.PREFIX, _K.BEFORE),
-    _level(Assoc.PREFIX, _K.NOT),
-)
-
-PLDLF_TABLE: tuple[Level, ...] = (
-    _level(Assoc.RIGHT, _K.IMPL, _K.EQUIV),
-    _level(Assoc.LEFT, _K.XOR),
-    _level(Assoc.LEFT, _K.OR),
-    _level(Assoc.LEFT, _K.AND),
-    _level(Assoc.MODALITY, _K.LBDIAM, _K.LBBOX),
-    _level(Assoc.LEFT, _K.CONCAT),
-    _level(Assoc.LEFT, _K.UNION),
-    _level(Assoc.POSTFIX, _K.STAR),
-    _level(Assoc.POSTFIX, _K.TEST),
-    _level(Assoc.PREFIX, _K.NOT),
-)
-
 TABLES: dict[Logic, tuple[Level, ...]] = {
-    Logic.LTLF: LTLF_TABLE,
-    Logic.LDLF: LDLF_TABLE,
-    Logic.PLTLF: PLTLF_TABLE,
-    Logic.PLDLF: PLDLF_TABLE,
+    logic: tuple(
+        Level(level.kinds & ACTIVE_KINDS[logic], level.assoc)
+        for level in PRECEDENCE
+        if level.kinds & ACTIVE_KINDS[logic]
+    )
+    for logic in Logic
 }
 
 
@@ -138,56 +176,33 @@ def table_for(logic: Logic) -> tuple[Level, ...]:
     return TABLES[logic]
 
 
-BINARY_NODES: dict[TokenKind, type] = {
-    _K.IMPL: Implies,
-    _K.EQUIV: Equiv,
-    _K.XOR: Xor,
-    _K.OR: Or,
-    _K.AND: And,
-    _K.UNTIL: Until,
-    _K.WEAK_UNTIL: WeakUntil,
-    _K.RELEASE: Release,
-    _K.STRONG_RELEASE: StrongRelease,
-    _K.SINCE: Since,
-}
-PREFIX_NODES: dict[TokenKind, type] = {
-    _K.NOT: Not,
-    _K.EVENTUALLY: Eventually,
-    _K.ALWAYS: Always,
-    _K.WEAK_NEXT: WeakNext,
-    _K.STRONG_NEXT: StrongNext,
-    _K.ONCE: Once,
-    _K.HISTORICALLY: Historically,
-    _K.BEFORE: Before,
-}
-MODAL_NODES: dict[TokenKind, tuple[type, TokenKind]] = {
-    _K.LDIAM: (Diamond, _K.RDIAM),
-    _K.LBOX: (Box, _K.RBOX),
-    _K.LBDIAM: (BackDiamond, _K.RBDIAM),
-    _K.LBBOX: (BackBox, _K.RBBOX),
-}
-REGEX_BINARY_NODES: dict[TokenKind, type] = {
-    _K.CONCAT: RegexConcat,
-    _K.UNION: RegexUnion,
-}
-CONST_NODES: dict[TokenKind, type] = {
-    _K.TRUE: TrueConst,
-    _K.FALSE: FalseConst,
-    _K.TT: Tautology,
-    _K.FF: Contradiction,
-    _K.LAST: Last,
-    _K.END: End,
-    _K.FIRST: First,
-    _K.START: Start,
-}
+_ASSOC = {kind: level.assoc for level in PRECEDENCE for kind in level.kinds}
 
-_BOOLEAN_BINARY = frozenset({_K.IMPL, _K.EQUIV, _K.XOR, _K.OR, _K.AND})
+
+def _nodes(*assocs: Assoc | None, regex: bool = False) -> dict[TokenKind, type]:
+    """Token kind to node class for the operators whose rows group as ``assocs``."""
+    return {
+        op.kind: cls
+        for cls, op in OPERATORS.items()
+        if op.kind is not None
+        and _ASSOC.get(op.kind) in assocs
+        and (op.kind in REGEX_KINDS) is regex
+    }
+
+
+BINARY_NODES = _nodes(Assoc.LEFT, Assoc.RIGHT)
+PREFIX_NODES = _nodes(Assoc.PREFIX)
+MODAL_NODES: dict[TokenKind, tuple[type, TokenKind]] = {
+    op.kind: (cls, op.closer) for cls, op in OPERATORS.items() if op.closer is not None
+}
+REGEX_BINARY_NODES = _nodes(Assoc.LEFT, regex=True)
+CONST_NODES = _nodes(None)  # the tokens of no precedence row
+
+# the propositional steps inside a regex use the connectives every logic has
+_BOOLEAN_BINARY = frozenset(BINARY_NODES).intersection(*ACTIVE_KINDS.values())
 _CLOSER_TEXT = {
     _K.RPAREN: ")",
-    _K.RDIAM: ">",
-    _K.RBOX: "]",
-    _K.RBDIAM: ">>",
-    _K.RBBOX: "]]",
+    **{op.closer: op.spelling[1] for op in OPERATORS.values() if op.closer is not None},
 }
 
 
@@ -274,7 +289,7 @@ class _Parser:
             raise self.err_end(f"expected {what} after {_describe(operator)}")
 
     def expect_closer(self, kind: TokenKind, opener: Token) -> None:
-        text = _CLOSER_TEXT[kind] if kind in _CLOSER_TEXT else ")"
+        text = _CLOSER_TEXT[kind]
         token = self.peek()
         where = f"'{opener.lexeme}' at {opener.line}:{opener.column}"
         if token is None:

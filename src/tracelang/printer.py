@@ -1,7 +1,7 @@
 """Canonical and fully parenthesised rendering of syntax trees.
 
-The canonical style inserts parentheses only where the precedence tables
-require them, writes one canonical spelling per operator (``!``, ``&``, ``|``,
+The canonical style inserts parentheses only where the precedence order
+requires them, writes one canonical spelling per operator (``!``, ``&``, ``|``,
 ``->``, ``<->``, ``^``, ``R``), a single space around binary operators, and
 nothing after prefix operators or inside modal brackets.  Round trip is the
 contract: parsing the output yields the tree that was printed.
@@ -10,48 +10,20 @@ contract: parsing the output yields the tree that was printed.
 from __future__ import annotations
 
 import enum
+from typing import Callable
 
-from . import parser as _p
-from .formulas import (
-    Always,
-    And,
-    Atom,
-    BackBox,
-    BackDiamond,
-    Before,
-    Box,
-    Contradiction,
-    Diamond,
-    End,
-    Equiv,
-    Eventually,
-    FalseConst,
-    First,
-    Historically,
-    Implies,
-    Last,
-    Node,
-    Not,
-    Once,
-    Or,
-    RegexConcat,
-    RegexProp,
-    RegexStar,
-    RegexTest,
-    RegexUnion,
-    Release,
-    Since,
-    Start,
-    StrongNext,
-    StrongRelease,
-    Tautology,
-    TrueConst,
-    Until,
-    WeakNext,
-    WeakUntil,
-    Xor,
+from .formulas import Atom, Node, RegexProp, RegexStar, RegexTest
+from .lexer import KEYWORDS, _NAME_CONT, _NAME_START, is_input_char
+from .parser import (
+    BINARY_NODES,
+    CONST_NODES,
+    MODAL_NODES,
+    OPERATORS,
+    PRECEDENCE,
+    PREFIX_NODES,
+    REGEX_BINARY_NODES,
+    Assoc,
 )
-from .lexer import KEYWORDS, is_input_char
 
 
 class Style(enum.Enum):
@@ -63,105 +35,25 @@ class UnprintableAtomError(ValueError):
     """The atom's name fits in neither quoting style."""
 
 
-_CANONICAL_SPELLING: dict[type, str] = {
-    Implies: "->",
-    Equiv: "<->",
-    Xor: "^",
-    Or: "|",
-    And: "&",
-    Until: "U",
-    WeakUntil: "W",
-    Release: "R",
-    StrongRelease: "M",
-    Since: "S",
+# binding strength and grouping: the row of the one precedence order
+_PLACE: dict[type, tuple[int, Assoc]] = {
+    cls: (index, level.assoc)
+    for index, level in enumerate(PRECEDENCE)
+    for cls, op in OPERATORS.items()
+    if op.kind in level.kinds
 }
-_PREFIX_SPELLING: dict[type, str] = {
-    Not: "!",
-    Eventually: "F",
-    Always: "G",
-    WeakNext: "X",
-    StrongNext: "X[!]",
-    Once: "O",
-    Historically: "H",
-    Before: "Y",
-}
-_MODAL_BRACKETS: dict[type, tuple[str, str]] = {
-    Diamond: ("<", ">"),
-    Box: ("[", "]"),
-    BackDiamond: ("<<", ">>"),
-    BackBox: ("[[", "]]"),
-}
-_CONST_TEXT: dict[type, str] = {
-    TrueConst: "true",
-    FalseConst: "false",
-    Tautology: "tt",
-    Contradiction: "ff",
-    Last: "last",
-    End: "end",
-    First: "first",
-    Start: "start",
-}
-_REGEX_BINARY_SPELLING: dict[type, str] = {RegexConcat: ";", RegexUnion: "+"}
-
-
-def _derive_levels() -> tuple[dict[type, tuple[int, _p.Assoc]], dict[type, tuple[int, _p.Assoc]]]:
-    """Map node classes to (binding strength, grouping) from the parser tables.
-
-    A class may sit at different row indices in different tables (``!`` is the
-    top row everywhere, but the dynamic tables have more rows below it), so
-    the merged strength is the largest index seen; afterwards every table's
-    own ordering must survive the merge unchanged.
-    """
-    kind_to_class = {
-        **_p.BINARY_NODES,
-        **_p.PREFIX_NODES,
-        **{k: cls for k, (cls, _) in _p.MODAL_NODES.items()},
-        **_p.REGEX_BINARY_NODES,
-        _p._K.STAR: RegexStar,
-        _p._K.TEST: RegexTest,
-    }
-    regex_kinds = (_p._K.CONCAT, _p._K.UNION, _p._K.STAR, _p._K.TEST)
-    formula: dict[type, tuple[int, _p.Assoc]] = {}
-    regex: dict[type, tuple[int, _p.Assoc]] = {}
-    for table in _p.TABLES.values():
-        for index, level in enumerate(table):
-            for kind in level.kinds:
-                cls = kind_to_class[kind]
-                target = regex if kind in regex_kinds else formula
-                known = target.get(cls)
-                if known is not None and known[1] is not level.assoc:
-                    raise AssertionError(
-                        f"inconsistent grouping for {cls.__name__} across tables"
-                    )
-                if known is None or known[0] < index:
-                    target[cls] = (index, level.assoc)
-    merged = {**formula, **regex}
-    for table in _p.TABLES.values():
-        placing = [
-            (index, merged[kind_to_class[kind]][0])
-            for index, level in enumerate(table)
-            for kind in level.kinds
-        ]
-        for own_a, merged_a in placing:
-            for own_b, merged_b in placing:
-                if (own_a < own_b) != (merged_a < merged_b):
-                    raise AssertionError(
-                        "merging the precedence tables changed their ordering"
-                    )
-    return formula, regex
-
-
-_FORMULA_LEVELS, _REGEX_LEVELS = _derive_levels()
-_BINARY_CLASSES = frozenset(_p.BINARY_NODES.values())
-_PREFIX_CLASSES = frozenset(_p.PREFIX_NODES.values())
-_MODAL_CLASSES = frozenset(cls for cls, _ in _p.MODAL_NODES.values())
-_REGEX_BINARY_CLASSES = frozenset(_p.REGEX_BINARY_NODES.values())
+_CONST_CLASSES = frozenset(CONST_NODES.values())
+_BINARY_CLASSES = frozenset(BINARY_NODES.values())
+_PREFIX_CLASSES = frozenset(PREFIX_NODES.values())
+_MODAL_CLASSES = frozenset(cls for cls, _ in MODAL_NODES.values())
+_REGEX_BINARY_CLASSES = frozenset(REGEX_BINARY_NODES.values())
+_INFIX_CLASSES = _BINARY_CLASSES | _REGEX_BINARY_CLASSES
 
 
 def _atom_text(atom: Atom) -> str:
     name = atom.name
-    if name and name not in KEYWORDS and name[0] in "abcdefghijklmnopqrstuvwxyz_":
-        if all(c in "abcdefghijklmnopqrstuvwxyz0123456789_" for c in name):
+    if name and name not in KEYWORDS and name[0] in _NAME_START:
+        if all(c in _NAME_CONT for c in name):
             return name
     if any(c in "\t\n\r" or not is_input_char(c) for c in name):
         raise UnprintableAtomError(
@@ -193,54 +85,25 @@ def _formula(node: Node, full: bool) -> str:
     cls = type(node)
     if cls is Atom:
         return _atom_text(node)  # type: ignore[arg-type]
-    if cls in _CONST_TEXT:
-        return _CONST_TEXT[cls]
+    if cls in _CONST_CLASSES:
+        return OPERATORS[cls].spelling  # type: ignore[return-value]
     if cls in _PREFIX_CLASSES:
-        level, _ = _FORMULA_LEVELS[cls]
+        level, _ = _PLACE[cls]
         arg = node.arg  # type: ignore[attr-defined]
-        text = _PREFIX_SPELLING[cls] + _formula_operand(arg, level, full)
+        text = OPERATORS[cls].spelling + _operand(arg, level, full, _formula)  # type: ignore[operator]
         return _wrap(text, full)
     if cls in _MODAL_CLASSES:
-        level, _ = _FORMULA_LEVELS[cls]
-        opening, closing = _MODAL_BRACKETS[cls]
+        level, _ = _PLACE[cls]
+        opening, closing = OPERATORS[cls].spelling  # type: ignore[misc]
         regex = _regex(node.regex, full)  # type: ignore[attr-defined]
-        arg = _formula_operand(node.arg, level, full)  # type: ignore[attr-defined]
+        arg = _operand(node.arg, level, full, _formula)  # type: ignore[attr-defined]
         return _wrap(f"{opening}{regex}{closing}{arg}", full)
     if cls in _BINARY_CLASSES:
-        level, assoc = _FORMULA_LEVELS[cls]
-        left = _formula_side(node.left, level, assoc, "left", full)  # type: ignore[attr-defined]
-        right = _formula_side(node.right, level, assoc, "right", full)  # type: ignore[attr-defined]
-        return _wrap(f"{left} {_CANONICAL_SPELLING[cls]} {right}", full)
+        level, assoc = _PLACE[cls]
+        left = _operand(node.left, level, full, _formula, assoc is not Assoc.LEFT)  # type: ignore[attr-defined]
+        right = _operand(node.right, level, full, _formula, assoc is not Assoc.RIGHT)  # type: ignore[attr-defined]
+        return _wrap(f"{left} {OPERATORS[cls].spelling} {right}", full)
     raise TypeError(f"not a formula node: {node!r}")
-
-
-def _formula_operand(child: Node, parent_level: int, full: bool) -> str:
-    """Render the operand of a prefix operator or modality."""
-    text = _formula(child, full)
-    if full:
-        return text
-    info = _FORMULA_LEVELS.get(type(child))
-    if info is not None and type(child) in _BINARY_CLASSES and info[0] < parent_level:
-        return f"({text})"
-    return text
-
-
-def _formula_side(child: Node, parent_level: int, parent_assoc: _p.Assoc,
-                  side: str, full: bool) -> str:
-    text = _formula(child, full)
-    if full:
-        return text
-    info = _FORMULA_LEVELS.get(type(child))
-    if info is None or type(child) not in _BINARY_CLASSES:
-        return text
-    level, _ = info
-    if level < parent_level:
-        return f"({text})"
-    if level == parent_level:
-        takes_this_side = "left" if parent_assoc is _p.Assoc.LEFT else "right"
-        if side != takes_this_side:
-            return f"({text})"
-    return text
 
 
 def _regex(node: Node, full: bool) -> str:
@@ -249,43 +112,28 @@ def _regex(node: Node, full: bool) -> str:
         # compound step formulas come back already parenthesised in full mode
         return _formula(node.prop, full)  # type: ignore[attr-defined]
     if cls is RegexTest:
-        text = _formula(node.arg, full) + "?"  # type: ignore[attr-defined]
+        text = _formula(node.arg, full) + OPERATORS[cls].spelling  # type: ignore
         return _wrap(text, full)
     if cls is RegexStar:
-        level, _ = _REGEX_LEVELS[cls]
-        text = _regex_operand(node.arg, level, full) + "*"  # type: ignore[attr-defined]
+        level, _ = _PLACE[cls]
+        text = _operand(node.arg, level, full, _regex) + OPERATORS[cls].spelling  # type: ignore
         return _wrap(text, full)
     if cls in _REGEX_BINARY_CLASSES:
-        level, assoc = _REGEX_LEVELS[cls]
-        left = _regex_side(node.left, level, assoc, "left", full)  # type: ignore[attr-defined]
-        right = _regex_side(node.right, level, assoc, "right", full)  # type: ignore[attr-defined]
-        return _wrap(f"{left} {_REGEX_BINARY_SPELLING[cls]} {right}", full)
+        level, assoc = _PLACE[cls]
+        left = _operand(node.left, level, full, _regex, assoc is not Assoc.LEFT)  # type: ignore[attr-defined]
+        right = _operand(node.right, level, full, _regex, assoc is not Assoc.RIGHT)  # type: ignore[attr-defined]
+        return _wrap(f"{left} {OPERATORS[cls].spelling} {right}", full)
     raise TypeError(f"not a regular-expression node: {node!r}")
 
 
-def _regex_operand(child: Node, parent_level: int, full: bool) -> str:
-    text = _regex(child, full)
-    if full:
+def _operand(child: Node, level: int, full: bool,
+             render: Callable[[Node, bool], str], tie: bool = False) -> str:
+    """Render an operand of an operator that binds at ``level``; ``tie`` says
+    whether a binary operand binding just as tightly needs parentheses too."""
+    text = render(child, full)
+    if full or type(child) not in _INFIX_CLASSES:
         return text
-    info = _REGEX_LEVELS.get(type(child))
-    if info is not None and type(child) in _REGEX_BINARY_CLASSES and info[0] < parent_level:
+    child_level, _ = _PLACE[type(child)]
+    if child_level < level or (tie and child_level == level):
         return f"({text})"
-    return text
-
-
-def _regex_side(child: Node, parent_level: int, parent_assoc: _p.Assoc,
-                side: str, full: bool) -> str:
-    text = _regex(child, full)
-    if full:
-        return text
-    info = _REGEX_LEVELS.get(type(child))
-    if info is None or type(child) not in _REGEX_BINARY_CLASSES:
-        return text
-    level, _ = info
-    if level < parent_level:
-        return f"({text})"
-    if level == parent_level:
-        takes_this_side = "left" if parent_assoc is _p.Assoc.LEFT else "right"
-        if side != takes_this_side:
-            return f"({text})"
     return text

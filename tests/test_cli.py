@@ -299,3 +299,22 @@ def test_a_closed_stdout_ends_quietly():
         os.close(write_end)
     assert done.stderr == b""
     assert done.returncode == 2
+
+
+def test_the_package_root_leaves_the_command_line_alone(tmp_path):
+    # `python -m tracelang.cli` warns on stderr if importing the package has
+    # already imported the module it is about to run
+    env = dict(os.environ, PYTHONPATH=str(Path(tracelang.__file__).parents[1]))
+    source = formula_file(tmp_path, "G(a -> F b)")
+    done = subprocess.run(
+        [sys.executable, "-m", "tracelang.cli", "check", "--logic", "ltlf", source],
+        capture_output=True, env=env, timeout=60,
+    )
+    assert (done.returncode, done.stderr) == (0, b"")
+    probe = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, tracelang; "
+         "print(sorted({'tracelang.cli', 'argparse'} & set(sys.modules)))"],
+        capture_output=True, env=env, timeout=60, check=True,
+    )
+    assert probe.stdout.strip() == b"[]"
