@@ -5,8 +5,9 @@ name; ``PRECEDENCE`` orders every operator of the four logics, loosest-binding
 first.  Each logic's table is that order cut down to the tokens the logic
 has, and a row's index is its binding strength.  The same precedence-climbing
 engine interprets the formula rows, the regular-expression rows (LDLf and
-PLDLf only), and the propositional sub-grammar used for single-step regexes.
-The printer and the JSON serialiser read the same two facts.
+PLDLf only), and the formulas inside them, in one pass: each regex operand is
+read once, as a propositional step, a formula test or a group.  The printer
+and the JSON serialiser read the same two facts.
 """
 
 from __future__ import annotations
@@ -198,12 +199,46 @@ MODAL_NODES: dict[TokenKind, tuple[type, TokenKind]] = {
 REGEX_BINARY_NODES = _nodes(Assoc.LEFT, regex=True)
 CONST_NODES = _nodes(None)  # the tokens of no precedence row
 
-# the propositional steps inside a regex use the connectives every logic has
-_BOOLEAN_BINARY = frozenset(BINARY_NODES).intersection(*ACTIVE_KINDS.values())
 _CLOSER_TEXT = {
     _K.RPAREN: ")",
     **{op.closer: op.spelling[1] for op in OPERATORS.values() if op.closer is not None},
 }
+
+# Leaves that settle a regex operand: a step has atoms, `true` and `false`,
+# a test `tt`, `ff` and modalities.  In the linear logics there are no steps.
+_STEP_LEAVES = {
+    logic: frozenset({_K.ATOM, _K.TRUE, _K.FALSE} if logic in (Logic.LDLF, Logic.PLDLF) else ())
+    for logic in Logic
+}
+_TEST_LEAVES = frozenset({_K.TT, _K.FF, *MODAL_NODES})
+
+# The most levels a syntax tree may have, and the most parentheses that may
+# nest.  The parser recurses deepest: two frames a parenthesis and up to four
+# a level, against two a level for the printer and the serialiser and one for
+# the evaluator.  At this limit each of them, and ``hash``, runs within
+# Python's default recursion limit when called from a stack 100 frames deep.
+MAX_DEPTH = 150
+
+
+def _dispatch(table: tuple[Level, ...]) -> tuple[dict, ...]:
+    """A logic's table as the parser's lookups by token kind: the formula
+    binary operators, the prefix operators, the modalities, the regex binary
+    operators and the regex postfix operators."""
+    place = {kind: (index, level.assoc) for index, level in enumerate(table) for kind in level.kinds}
+
+    def rows(assoc: Assoc) -> dict[TokenKind, int]:
+        return {kind: index for kind, (index, grouping) in place.items() if grouping is assoc}
+
+    return (
+        {kind: entry for kind, entry in place.items() if kind in BINARY_NODES},
+        rows(Assoc.PREFIX),
+        rows(Assoc.MODALITY),
+        {kind: entry for kind, entry in place.items() if kind in REGEX_BINARY_NODES},
+        rows(Assoc.POSTFIX),
+    )
+
+
+_DISPATCH = {logic: _dispatch(TABLES[logic]) for logic in Logic}
 
 
 class ParseErrorKind(enum.Enum):
@@ -212,6 +247,7 @@ class ParseErrorKind(enum.Enum):
     RESERVED_WORD = enum.auto()
     ATOM_NOT_ALLOWED_HERE = enum.auto()
     UNBALANCED_DELIMITER = enum.auto()
+    NESTING_TOO_DEEP = enum.auto()
 
 
 class ParseError(SourceError):
@@ -229,6 +265,17 @@ def _describe(token: Token) -> str:
 
 
 class _Parser:
+    """Precedence climbing over one logic's table, in one pass with no rewind.
+
+    ``step`` and ``test`` say which readings of the regex operand being read
+    are still open; outside regexes only the test reading, plain formula
+    syntax, is.  ``depth`` is the level of the node being read, the root's
+    being 1, ``reach`` the deepest level of the subtree read last, and
+    ``parens`` the number of open parentheses.  A binary or postfix node
+    puts its left operand a level further down, so ``reach`` grows along
+    left-associative chains, which the parser reads in a loop.
+    """
+
     def __init__(self, text: str, logic: Logic):
         self.logic = logic
         self.tokens = tokenize(text, logic)
@@ -238,28 +285,12 @@ class _Parser:
             self.end_line, self.end_column = tail.line, tail.column + len(tail.lexeme)
         else:
             self.end_line, self.end_column = 1, 1
-
-        self.formula_binary: dict[TokenKind, tuple[int, Assoc]] = {}
-        self.prefix_level: dict[TokenKind, int] = {}
-        self.modal_level: dict[TokenKind, int] = {}
-        self.regex_binary: dict[TokenKind, tuple[int, Assoc]] = {}
-        self.regex_postfix: dict[TokenKind, int] = {}
-        for index, level in enumerate(TABLES[logic]):
-            for kind in level.kinds:
-                if level.assoc is Assoc.PREFIX:
-                    self.prefix_level[kind] = index
-                elif level.assoc is Assoc.MODALITY:
-                    self.modal_level[kind] = index
-                elif level.assoc is Assoc.POSTFIX:
-                    self.regex_postfix[kind] = index
-                elif kind in REGEX_BINARY_NODES:
-                    self.regex_binary[kind] = (index, level.assoc)
-                else:
-                    self.formula_binary[kind] = (index, level.assoc)
-        self.prop_binary = {
-            k: v for k, v in self.formula_binary.items() if k in _BOOLEAN_BINARY
-        }
-        self.not_level = self.prefix_level[_K.NOT]
+        (self.formula_binary, self.prefix_level, self.modal_level,
+         self.regex_binary, self.regex_postfix) = _DISPATCH[logic]
+        self.step_leaves = _STEP_LEAVES[logic]
+        self.step, self.test = False, True
+        self.depth = self.reach = 1
+        self.parens = 0
 
     # ------------------------------------------------------------- stream
 
@@ -284,7 +315,22 @@ class _Parser:
     def err_at(self, token: Token, kind: ParseErrorKind, message: str) -> ParseError:
         return ParseError(kind, message, token.line, token.column, token.lexeme)
 
-    def require_operand(self, operator: Token, what: str = "a formula") -> None:
+    def err_expected(self, token: Token, what: str) -> ParseError:
+        return self.err_at(
+            token, ParseErrorKind.UNEXPECTED_TOKEN, f"expected {what}, found '{token.lexeme}'"
+        )
+
+    def too_deep(self, token: Token, what: str = "the formula nests") -> ParseError:
+        return self.err_at(
+            token, ParseErrorKind.NESTING_TOO_DEEP, f"{what} deeper than {MAX_DEPTH} levels"
+        )
+
+    def open_paren(self, token: Token) -> None:
+        self.parens += 1
+        if self.parens > MAX_DEPTH:
+            raise self.too_deep(token, "parentheses nest")
+
+    def require_operand(self, operator: Token, what: str) -> None:
         if self.peek() is None:
             raise self.err_end(f"expected {what} after {_describe(operator)}")
 
@@ -309,8 +355,11 @@ class _Parser:
 
     # ------------------------------------------------------------ formulas
 
-    def parse_formula(self, min_level: int = 0) -> Node:
-        lhs = self.formula_unit()
+    def parse_formula(self, min_level: int = 0, lhs: Node | None = None) -> Node:
+        """A formula of operators binding at ``min_level`` or tighter, from its
+        first unit, or going on from ``lhs`` if that has been read."""
+        if lhs is None:
+            lhs = self.formula_unit()
         while True:
             token = self.peek()
             if token is None:
@@ -322,45 +371,62 @@ class _Parser:
             if level < min_level:
                 break
             self.advance()
-            self.require_operand(token)
+            self.require_operand(token, "a propositional formula" if self.step else "a formula")
+            if self.reach >= MAX_DEPTH:  # the left operand goes a level down
+                raise self.too_deep(token)
+            reach = self.reach + 1
+            self.depth += 1
             rhs = self.parse_formula(level + 1 if assoc is Assoc.LEFT else level)
+            self.depth -= 1
+            self.reach = max(reach, self.reach)
             lhs = BINARY_NODES[token.kind](lhs, rhs)
         return lhs
 
     def formula_unit(self) -> Node:
         token = self.peek()
+        what = "a propositional formula" if self.step else "a formula"
         if token is None:
-            raise self.err_end("expected a formula")
+            raise self.err_end(f"expected {what}")
         kind = token.kind
         if kind in self.prefix_level:
             self.advance()
-            self.require_operand(token)
-            return PREFIX_NODES[kind](self.parse_formula(self.prefix_level[kind]))
-        if kind in self.modal_level:
-            return self.modality(token)
+            self.require_operand(token, what)
+            if self.depth >= MAX_DEPTH:
+                raise self.too_deep(token)
+            self.depth += 1
+            arg = self.parse_formula(self.prefix_level[kind])
+            self.depth -= 1
+            return PREFIX_NODES[kind](arg)
         if kind is _K.LPAREN:
             self.advance()
+            self.open_paren(token)
             inner = self.parse_formula(0)
             self.expect_closer(_K.RPAREN, token)
+            self.parens -= 1
             return inner
-        if kind is _K.ATOM:
-            if self.logic in (Logic.LDLF, Logic.PLDLF):
+        if kind in self.step_leaves:
+            if not self.step:
                 raise self.err_at(
                     token,
                     ParseErrorKind.ATOM_NOT_ALLOWED_HERE,
                     f"atom {token.lexeme!r} cannot appear at formula level in "
-                    f"{self.logic}; atoms belong inside a modality's regular expression",
+                    f"{self.logic}; atoms belong inside a modality's regular expression"
+                    if kind is _K.ATOM else
+                    f"propositional constant '{token.lexeme}' cannot appear at formula "
+                    f"level in {self.logic}; use 'tt' or 'ff' here, or move it inside "
+                    f"a modality's regular expression",
                 )
+            self.test = False
+        elif kind in _TEST_LEAVES:
+            if not self.test:
+                raise self.err_expected(token, what)
+            self.step = False
+        if kind in self.modal_level:
+            return self.modality(token)
+        self.reach = self.depth
+        if kind is _K.ATOM:
             self.advance()
             return self.make_atom(token)
-        if kind in (_K.TRUE, _K.FALSE) and self.logic in (Logic.LDLF, Logic.PLDLF):
-            raise self.err_at(
-                token,
-                ParseErrorKind.ATOM_NOT_ALLOWED_HERE,
-                f"propositional constant '{token.lexeme}' cannot appear at formula "
-                f"level in {self.logic}; use 'tt' or 'ff' here, or move it inside "
-                f"a modality's regular expression",
-            )
         if kind in CONST_NODES:
             self.advance()
             return CONST_NODES[kind]()
@@ -371,11 +437,7 @@ class _Parser:
                 f"reserved keyword '{token.lexeme}' cannot begin a formula; "
                 f"quote it to use it as an atom",
             )
-        raise self.err_at(
-            token,
-            ParseErrorKind.UNEXPECTED_TOKEN,
-            f"expected a formula, found '{token.lexeme}'",
-        )
+        raise self.err_expected(token, what)
 
     def make_atom(self, token: Token) -> Atom:
         if token.lexeme[:1] in "\"'":
@@ -386,16 +448,26 @@ class _Parser:
         self.advance()
         ctor, closer = MODAL_NODES[opener.kind]
         self.require_operand(opener, "a regular expression")
+        if self.depth >= MAX_DEPTH:
+            raise self.too_deep(opener)
+        self.depth += 1
         regex = self.parse_regex(0)
+        reach = self.reach
         self.expect_closer(closer, opener)
         if self.peek() is None:
             raise self.err_end(f"expected a formula after '{_CLOSER_TEXT[closer]}'")
-        return ctor(regex, self.parse_formula(self.modal_level[opener.kind]))
+        arg = self.parse_formula(self.modal_level[opener.kind])
+        self.depth -= 1
+        self.reach = max(reach, self.reach)
+        return ctor(regex, arg)
 
     # ---------------------------------------------------- regular expressions
 
-    def parse_regex(self, min_level: int = 0) -> Node:
-        lhs = self.regex_unit()
+    def parse_regex(self, min_level: int = 0, lhs: Node | None = None) -> Node:
+        """A regex of operators binding at ``min_level`` or tighter, from its
+        first operand, or going on from ``lhs`` if that has been read."""
+        if lhs is None:
+            lhs = self.regex_unit()
         while True:
             token = self.peek()
             if token is None:
@@ -407,13 +479,22 @@ class _Parser:
                     break
                 self.advance()
                 self.require_operand(token, "a regular expression")
+                if self.reach >= MAX_DEPTH:  # the left operand goes a level down
+                    raise self.too_deep(token)
+                reach = self.reach + 1
+                self.depth += 1
                 rhs = self.parse_regex(level + 1 if assoc is Assoc.LEFT else level)
+                self.depth -= 1
+                self.reach = max(reach, self.reach)
                 lhs = REGEX_BINARY_NODES[kind](lhs, rhs)
             elif kind in self.regex_postfix:
                 if self.regex_postfix[kind] < min_level:
                     break
                 if kind is _K.STAR:
                     self.advance()
+                    if self.reach >= MAX_DEPTH:
+                        raise self.too_deep(token)
+                    self.reach += 1
                     lhs = RegexStar(lhs)
                 else:
                     raise self.err_at(
@@ -429,103 +510,79 @@ class _Parser:
     def regex_unit(self) -> Node:
         """One regex operand: a propositional step, a formula test, or a group.
 
-        The three readings are tried in that order with backtracking; if all
-        fail, the error that progressed furthest is reported.
+        The operand is read once.  A step or a test is read with the formula
+        grammar, whose leaves close one of the two readings: a step has only
+        atoms, ``true``, ``false`` and boolean connectives, a test no atom
+        and no ``true`` or ``false``.  A rejection is reported where the
+        last open reading fails.
         """
+        if self.depth >= MAX_DEPTH:
+            raise self.too_deep(self.peek())  # type: ignore[arg-type]
+        outer = self.step, self.test
+        self.step = self.test = True
+        self.depth += 1  # the formula of a step or a test is a level down
+        node, closed = self.regex_operand()
+        self.depth -= 1
+        if not closed:
+            node = self.close_operand(node)
+        self.step, self.test = outer
+        return node
+
+    def regex_operand(self) -> tuple[Node, bool]:
+        """The formula of a step or a test, or a whole group, then ``True``.
+
+        A leading '(' opens a group only when its first inner operand is
+        followed by something other than ')'; otherwise it parenthesises a
+        formula, which goes on after the ')'.
+        """
+        opener = self.peek()
+        if opener is None or opener.kind is not _K.LPAREN:
+            return self.parse_formula(0), False
+        self.advance()
+        self.open_paren(opener)
+        inner, closed = self.regex_operand()
         token = self.peek()
-        if token is None:
-            raise self.err_end("expected a regular expression")
-        start = self.i
-        failures: list[ParseError] = []
-
-        try:
-            return RegexProp(self.parse_prop(0))
-        except ParseError as error:
-            failures.append(error)
-            self.i = start
-
-        try:
-            formula = self.parse_formula(0)
-            mark = self.peek()
-            if mark is None:
-                raise self.err_end("expected '?' after a formula used inside a regular expression")
-            if mark.kind is not _K.TEST:
-                raise self.err_at(
-                    mark,
-                    ParseErrorKind.UNEXPECTED_TOKEN,
-                    f"a formula used inside a regular expression must be followed "
-                    f"by '?', found '{mark.lexeme}'",
-                )
-            self.advance()
-            return RegexTest(formula)
-        except ParseError as error:
-            failures.append(error)
-            self.i = start
-
-        if token.kind is _K.LPAREN:
-            try:
+        if not closed:
+            if token is not None and token.kind is _K.RPAREN:
                 self.advance()
-                inner = self.parse_regex(0)
-                self.expect_closer(_K.RPAREN, token)
-                return inner
-            except ParseError as error:
-                failures.append(error)
-                self.i = start
+                self.parens -= 1
+                return self.parse_formula(0, inner), False
+            if self.step is (token is not None and token.kind is _K.TEST):
+                # the open reading cannot take the token: the ')' is missing
+                self.expect_closer(_K.RPAREN, opener)
+            inner = self.close_operand(inner)
+        self.depth -= 1  # the group stands where the operand does
+        regex = self.parse_regex(0, inner)
+        self.depth += 1
+        self.expect_closer(_K.RPAREN, opener)
+        self.parens -= 1
+        return regex, True
 
-        raise max(failures, key=lambda e: (e.line, e.column))
-
-    # ------------------------------------------------- propositional steps
-
-    def parse_prop(self, min_level: int = 0) -> Node:
-        lhs = self.prop_unit()
-        while True:
-            token = self.peek()
-            if token is None:
-                break
-            entry = self.prop_binary.get(token.kind)
-            if entry is None:
-                break
-            level, assoc = entry
-            if level < min_level:
-                break
-            self.advance()
-            self.require_operand(token, "a propositional formula")
-            rhs = self.parse_prop(level + 1 if assoc is Assoc.LEFT else level)
-            lhs = BINARY_NODES[token.kind](lhs, rhs)
-        return lhs
-
-    def prop_unit(self) -> Node:
-        token = self.peek()
-        if token is None:
-            raise self.err_end("expected a propositional formula")
-        kind = token.kind
-        if kind is _K.NOT:
-            self.advance()
-            self.require_operand(token, "a propositional formula")
-            return Not(self.parse_prop(self.not_level))
-        if kind is _K.LPAREN:
-            self.advance()
-            inner = self.parse_prop(0)
-            self.expect_closer(_K.RPAREN, token)
-            return inner
-        if kind is _K.ATOM:
-            self.advance()
-            return self.make_atom(token)
-        if kind in (_K.TRUE, _K.FALSE):
-            self.advance()
-            return CONST_NODES[kind]()
-        raise self.err_at(
-            token,
-            ParseErrorKind.UNEXPECTED_TOKEN,
-            f"expected a propositional formula, found '{token.lexeme}'",
-        )
+    def close_operand(self, formula: Node) -> Node:
+        """A step if that reading is open, else a test, which needs its '?'."""
+        if self.step:
+            return RegexProp(formula)
+        mark = self.peek()
+        if mark is None:
+            raise self.err_end("expected '?' after a formula used inside a regular expression")
+        if mark.kind is not _K.TEST:
+            raise self.err_at(
+                mark,
+                ParseErrorKind.UNEXPECTED_TOKEN,
+                f"a formula used inside a regular expression must be followed "
+                f"by '?', found '{mark.lexeme}'",
+            )
+        self.advance()
+        return RegexTest(formula)
 
 
 def parse(text: str, logic: Logic) -> Node:
     """Parse ``text`` as a formula of ``logic``.
 
     Raises :class:`~tracelang.lexer.LexError` or :class:`ParseError` with a
-    1-based position; the whole input must be consumed.
+    1-based position; the whole input must be consumed, and the tree may
+    nest at most :data:`MAX_DEPTH` levels deep
+    (:attr:`ParseErrorKind.NESTING_TOO_DEEP`).
     """
     parser = _Parser(text, logic)
     node = parser.parse_formula(0)
