@@ -44,8 +44,10 @@ def _load_trace(path: str) -> Trace:
             data = json.load(handle)
     except OSError as error:
         raise _CliError(f"cannot read trace file {path}: {error}") from error
-    except json.JSONDecodeError as error:
+    except (UnicodeDecodeError, json.JSONDecodeError) as error:
         raise _CliError(f"malformed trace file {path}: {error}") from error
+    except RecursionError as error:
+        raise _CliError(f"malformed trace file {path}: JSON nested too deep") from error
     if not isinstance(data, list) or not all(
         isinstance(step, list) and all(isinstance(atom, str) for atom in step)
         for step in data
@@ -64,16 +66,18 @@ def _load_manifest(path: str) -> list[tuple[int, dict]]:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as error:
+    except (OSError, UnicodeDecodeError) as error:
         raise _CliError(f"cannot read manifest {path}: {error}") from error
     cases: list[tuple[int, dict]] = []
-    for number, line in enumerate(text.splitlines(), 1):
+    for number, line in enumerate(text.split("\n"), 1):  # JSON strings may hold U+2028
         if not line.strip():
             continue
         try:
             case = json.loads(line)
         except json.JSONDecodeError as error:
             raise _CliError(f"manifest line {number}: invalid JSON: {error}") from error
+        except RecursionError as error:
+            raise _CliError(f"manifest line {number}: invalid JSON: nested too deep") from error
         cases.append((number, _validate_case(number, case)))
     return cases
 

@@ -9,7 +9,8 @@ diamonds under LDLf, and ``<->`` an equivalence arrow everywhere.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 
 class Logic(enum.Enum):
@@ -74,8 +75,7 @@ class TokenKind(enum.Enum):
     STAR = enum.auto()
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """One lexeme with its kind and 1-based source position."""
 
     kind: TokenKind
@@ -209,8 +209,6 @@ ACTIVE_KINDS: dict[Logic, frozenset[TokenKind]] = {
 
 _NAME_START = frozenset("abcdefghijklmnopqrstuvwxyz_")
 _NAME_CONT = _NAME_START | frozenset("0123456789")
-_WHITESPACE = frozenset(" \t\n\r")
-_QUOTES = frozenset("\"'")
 
 
 def is_input_char(c: str) -> bool:
@@ -218,140 +216,85 @@ def is_input_char(c: str) -> bool:
     return c in "\t\n\r" or 0x20 <= ord(c) <= 0x7E
 
 
-class _Lexer:
-    def __init__(self, text: str, logic: Logic):
-        self.text = text
-        self.logic = logic
-        self.active = ACTIVE_KINDS[logic]
-        self.pos = 0
-        self.line = 1
-        self.column = 1
-        self.tokens: list[Token] = []
+def _scanner(logic: Logic) -> re.Pattern:
+    """One pattern that reads the whitespace before a token and the token.
 
-    def error(self, kind: LexErrorKind, message: str, offending: str,
-              line: int | None = None, column: int | None = None) -> LexError:
+    Group 1 is the whitespace, group 2 an active token, group 3 a lexeme that
+    must be rejected; at the end of the text only group 1 can be non-empty.
+    Active spellings come before inactive ones, each in ``_SYMBOL_OPS`` order,
+    so the first alternative that matches is the longest active spelling, or
+    failing that the longest inactive one.  Each alternative repeats at most
+    one character class and one alternative always matches after the
+    whitespace, so a match takes time linear in its length.
+    """
+    active = ACTIVE_KINDS[logic]
+    on = "".join(c for c, kind in _LETTER_KEYWORDS.items() if kind in active)
+    off = "".join(c for c, kind in _LETTER_KEYWORDS.items() if kind not in active)
+    token = [re.escape(s) for s, kind in _SYMBOL_OPS if kind in active]
+    reject = [re.escape(s) for s, kind in _SYMBOL_OPS if kind not in active]
+    if "X" in on:  # "X[" commits to "X[!]", with no interior whitespace
+        on = on.replace("X", "")
+        token += [r"X\[!\]", r"X(?!\[)"]
+        reject.append(r"X\[")
+    token += [f"[{on}]"] if on else []
+    reject += [f"[{off}]"] if off else []
+    # a quoted atom holds printable ASCII other than its own quote; a quote
+    # left open takes along the character that stopped it unless that is a
+    # tab or a line break
+    token += ["[a-z_][a-z0-9_]*", '"[ !#-~]*"', "'[ -&(-~]*'"]
+    reject += ['"[ !#-~]*[^\t\n\r]?', "'[ -&(-~]*[^\t\n\r]?", "[^ \t\n\r]"]
+    return re.compile(f"([ \t\n\r]*)(?:({'|'.join(token)})|({'|'.join(reject)})|\\Z)")
+
+
+# each logic's scanner, and its spellings and words to their kinds; an
+# inactive word maps to None
+_SCANNERS = {
+    logic: (
+        _scanner(logic).findall,
+        {
+            **{w: kind if kind in active else None for w, kind in _WORD_KEYWORDS.items()},
+            **{c: kind for c, kind in _LETTER_KEYWORDS.items() if kind in active},
+            **{s: kind for s, kind in (*_SYMBOL_OPS, ("X[!]", _K.STRONG_NEXT)) if kind in active},
+        },
+    )
+    for logic, active in ACTIVE_KINDS.items()
+}
+
+
+def _rejection(lexeme: str, logic: Logic, line: int, column: int) -> LexError:
+    """The error for a lexeme that group 3 matched, or for an inactive word."""
+    if lexeme in KEYWORDS:
         return LexError(
-            kind,
-            message,
-            self.line if line is None else line,
-            self.column if column is None else column,
-            offending,
+            LexErrorKind.UNKNOWN_OPERATOR,
+            f"reserved keyword '{lexeme}' is not part of {logic} syntax; "
+            f"quote it to use it as an atom",
+            line, column, lexeme,
         )
-
-    def emit(self, kind: TokenKind, lexeme: str) -> None:
-        self.tokens.append(Token(kind, lexeme, self.line, self.column))
-        self.pos += len(lexeme)
-        self.column += len(lexeme)
-
-    def run(self) -> list[Token]:
-        text = self.text
-        while self.pos < len(text):
-            c = text[self.pos]
-            if c in _WHITESPACE:
-                self.pos += 1
-                if c == "\n":
-                    self.line += 1
-                    self.column = 1
-                else:
-                    self.column += 1
-            elif not is_input_char(c):
-                raise self.error(
-                    LexErrorKind.ILLEGAL_CHARACTER, f"illegal character {c!r}", c
-                )
-            elif c in _NAME_START:
-                self.scan_name()
-            elif c in _LETTER_KEYWORDS:
-                self.scan_letter_keyword(c)
-            elif c in _QUOTES:
-                self.scan_quoted()
-            else:
-                self.scan_symbol()
-        return self.tokens
-
-    def scan_name(self) -> None:
-        text, start = self.text, self.pos
-        end = start
-        while end < len(text) and text[end] in _NAME_CONT:
-            end += 1
-        word = text[start:end]
-        kind = _WORD_KEYWORDS.get(word)
-        if kind is None:
-            self.emit(_K.ATOM, word)
-        elif kind in self.active:
-            self.emit(kind, word)
-        else:
-            raise self.error(
-                LexErrorKind.UNKNOWN_OPERATOR,
-                f"reserved keyword '{word}' is not part of {self.logic} syntax; "
-                f"quote it to use it as an atom",
-                word,
-            )
-
-    def scan_letter_keyword(self, c: str) -> None:
-        kind = _LETTER_KEYWORDS[c]
-        if kind not in self.active:
-            raise self.error(
-                LexErrorKind.UNKNOWN_OPERATOR,
-                f"reserved keyword '{c}' is not part of {self.logic} syntax; "
-                f"quote it to use it as an atom",
-                c,
-            )
-        # "X[" commits to the strong-next operator, with no interior whitespace.
-        if c == "X" and self.text.startswith("[", self.pos + 1):
-            if self.text.startswith("X[!]", self.pos):
-                self.emit(_K.STRONG_NEXT, "X[!]")
-            else:
-                raise self.error(
-                    LexErrorKind.MALFORMED_STRONG_NEXT,
-                    "malformed strong next operator: expected 'X[!]'",
-                    "X[",
-                    column=self.column + 1,
-                )
-        else:
-            self.emit(kind, c)
-
-    def scan_quoted(self) -> None:
-        text, start = self.text, self.pos
-        quote = text[start]
-        end = start + 1
-        while end < len(text):
-            c = text[end]
-            if c == quote:
-                self.emit(_K.ATOM, text[start : end + 1])
-                return
-            if c in "\n\t\r":
-                break
-            if not is_input_char(c):
-                raise self.error(
-                    LexErrorKind.ILLEGAL_CHARACTER,
-                    f"illegal character {c!r} inside quoted atom",
-                    c,
-                    column=self.column + (end - start),
-                )
-            end += 1
-        raise self.error(
-            LexErrorKind.UNTERMINATED_QUOTE, "unterminated quoted atom", quote
+    if lexeme == "X[":
+        return LexError(
+            LexErrorKind.MALFORMED_STRONG_NEXT,
+            "malformed strong next operator: expected 'X[!]'",
+            line, column + 1, lexeme,
         )
-
-    def scan_symbol(self) -> None:
-        text, pos = self.text, self.pos
-        inactive_match: str | None = None
-        for spelling, kind in _SYMBOL_OPS:
-            if text.startswith(spelling, pos):
-                if kind in self.active:
-                    self.emit(kind, spelling)
-                    return
-                if inactive_match is None:
-                    inactive_match = spelling
-        if inactive_match is not None:
-            raise self.error(
-                LexErrorKind.UNKNOWN_OPERATOR,
-                f"operator '{inactive_match}' is not part of {self.logic} syntax",
-                inactive_match,
+    if lexeme[0] in "\"'":
+        if not is_input_char(lexeme[-1]):
+            return LexError(
+                LexErrorKind.ILLEGAL_CHARACTER,
+                f"illegal character {lexeme[-1]!r} inside quoted atom",
+                line, column + len(lexeme) - 1, lexeme[-1],
             )
-        raise self.error(
-            LexErrorKind.ILLEGAL_CHARACTER, f"illegal character {text[pos]!r}", text[pos]
+        return LexError(
+            LexErrorKind.UNTERMINATED_QUOTE, "unterminated quoted atom", line, column, lexeme[0]
         )
+    if lexeme in dict(_SYMBOL_OPS):
+        return LexError(
+            LexErrorKind.UNKNOWN_OPERATOR,
+            f"operator '{lexeme}' is not part of {logic} syntax",
+            line, column, lexeme,
+        )
+    return LexError(
+        LexErrorKind.ILLEGAL_CHARACTER, f"illegal character {lexeme!r}", line, column, lexeme
+    )
 
 
 def tokenize(text: str, logic: Logic) -> list[Token]:
@@ -362,4 +305,23 @@ def tokenize(text: str, logic: Logic) -> list[Token]:
     insignificant; joining the returned lexemes with the original whitespace
     reconstructs the input exactly.
     """
-    return _Lexer(text, logic).run()
+    findall, kinds = _SCANNERS[logic]
+    atom, tokens = _K.ATOM, []
+    append, make = tokens.append, tuple.__new__  # a Token without its Python __new__
+    line = column = 1
+    for space, lexeme, rejected in findall(text):
+        if space:
+            if "\n" in space:
+                line += space.count("\n")
+                column = len(space) - space.rfind("\n")
+            else:
+                column += len(space)
+        if lexeme:
+            kind = kinds.get(lexeme, atom)
+            if kind is None:
+                raise _rejection(lexeme, logic, line, column)
+            append(make(Token, (kind, lexeme, line, column)))
+            column += len(lexeme)
+        elif rejected:
+            raise _rejection(rejected, logic, line, column)
+    return tokens

@@ -318,3 +318,54 @@ def test_the_package_root_leaves_the_command_line_alone(tmp_path):
         capture_output=True, env=env, timeout=60, check=True,
     )
     assert probe.stdout.strip() == b"[]"
+
+
+# ------------------------------------------ undecodable and too-deep files
+
+
+def run_process(*argv):
+    """``python -m tracelang.cli`` in a child process: exit code and stderr."""
+    env = dict(os.environ, PYTHONPATH=str(Path(tracelang.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "tracelang.cli", *argv],
+        capture_output=True, env=env, timeout=60,
+    )
+    return done.returncode, done.stderr.decode()
+
+
+@pytest.mark.parametrize("content", [b'[["p\xff"]]', b"[" * 10**5 + b"]" * 10**5],
+                         ids=["not UTF-8", "nested 10^5 deep"])
+def test_eval_refuses_unreadable_traces_without_a_traceback(tmp_path, content):
+    trace = tmp_path / "trace.json"
+    trace.write_bytes(content)
+    code, err = run_process("eval", "--logic", "ltlf", "--trace", str(trace),
+                            formula_file(tmp_path, "F p"))
+    assert code == 2
+    assert err.startswith(f"error: malformed trace file {trace}: ")
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("content, needle", [
+    (b'{"logic": "ltlf", "input": "\xff", "expect": "ok"}\n', "cannot read manifest "),
+    (b"[" * 10**5 + b"]" * 10**5 + b"\n", "manifest line 1: invalid JSON: "),
+], ids=["not UTF-8", "nested 10^5 deep"])
+def test_conformance_refuses_unreadable_manifests_without_a_traceback(tmp_path, content, needle):
+    manifest = tmp_path / "cases.jsonl"
+    manifest.write_bytes(content)
+    code, err = run_process("conformance", str(manifest))
+    assert code == 2
+    assert err.startswith(f"error: {needle}")
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+
+
+def test_a_manifest_line_ends_only_at_a_line_feed(capsys, tmp_path):
+    # JSON strings may hold U+2028 and U+0085 unescaped; str.splitlines breaks there
+    path = tmp_path / "cases.jsonl"
+    path.write_text(
+        '{"logic": "ltlf", "input": "a\u2028b", "expect": "error"}\r\n'
+        '{"logic": "ltlf", "input": "a\x85", "expect": "error"}\n',
+        encoding="utf-8", newline="",
+    )
+    code, out, err = run(capsys, "conformance", str(path))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "PASS 2/2"

@@ -9,6 +9,7 @@ from tracelang import (
     LexError,
     LexErrorKind,
     Logic,
+    Token,
     TokenKind,
     tokenize,
 )
@@ -290,3 +291,30 @@ def test_lexemes_sit_at_their_positions_with_whitespace_between(text, logic):
         assert text[cursor:offset].strip() == ""
         cursor = offset + len(token.lexeme)
     assert text[cursor:].strip() == ""
+
+
+# ------------------------------------------------------------ token values
+
+
+def test_tokens_keep_their_fields_repr_equality_and_hash():
+    token = tokenize("  b", Logic.LTLF)[0]
+    assert Token._fields == ("kind", "lexeme", "line", "column")
+    assert (token.kind, token.lexeme, token.line, token.column) == (K.ATOM, "b", 1, 3)
+    assert repr(token) == f"Token(kind={K.ATOM!r}, lexeme='b', line=1, column=3)"
+    same, other = Token(K.ATOM, "b", 1, 3), Token(K.ATOM, "b", 1, 4)
+    assert token == same and hash(token) == hash(same)
+    assert token != other
+    assert len({token, same, other}) == 2
+
+
+def test_tokens_are_immutable():
+    token = tokenize("a", Logic.LTLF)[0]
+    for field in Token._fields:
+        with pytest.raises(AttributeError):
+            setattr(token, field, None)
+
+
+def test_a_token_is_also_its_tuple():
+    token = tokenize("\n G", Logic.LTLF)[0]
+    kind, lexeme, line, column = token
+    assert (kind, lexeme, line, column) == token == (K.ALWAYS, "G", 2, 2)
