@@ -34,8 +34,8 @@ def _read_source(path: str) -> str:
                 data = handle.read()
     except OSError as error:
         raise _CliError(f"cannot read {path}: {error}") from error
-    # decode byte-per-character so stray bytes surface as positioned lex errors
-    return data.decode("latin-1")
+    # a byte that is not UTF-8 reads as U+FFFD, which the lexer rejects in place
+    return data.decode("utf-8", "replace")
 
 
 def _load_trace(path: str) -> Trace:

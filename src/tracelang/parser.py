@@ -2,12 +2,12 @@
 
 ``OPERATORS`` gives each node class its token, canonical spelling and JSON
 name; ``PRECEDENCE`` orders every operator of the four logics, loosest-binding
-first.  Each logic's table is that order cut down to the tokens the logic
-has, and a row's index is its binding strength.  The same precedence-climbing
-engine interprets the formula rows, the regular-expression rows (LDLf and
-PLDLf only), and the formulas inside them, in one pass: each regex operand is
-read once, as a propositional step, a formula test or a group.  The printer
-and the JSON serialiser read the same two facts.
+first, and a row's index is its binding strength.  One precedence-climbing
+engine reads both layers of the grammar, formulas and the regular expressions
+inside LDLf and PLDLf modalities, in one pass: each regex operand is read
+once, as a propositional step, a formula test or a group.  Its lookups serve
+all four logics, since ``tokenize`` emits only the tokens a logic has.  The
+printer and the JSON serialiser read the same two facts.
 """
 
 from __future__ import annotations
@@ -178,6 +178,7 @@ def table_for(logic: Logic) -> tuple[Level, ...]:
 
 
 _ASSOC = {kind: level.assoc for level in PRECEDENCE for kind in level.kinds}
+_ROW = {kind: index for index, level in enumerate(PRECEDENCE) for kind in level.kinds}
 
 
 def _nodes(*assocs: Assoc | None, regex: bool = False) -> dict[TokenKind, type]:
@@ -199,6 +200,19 @@ MODAL_NODES: dict[TokenKind, tuple[type, TokenKind]] = {
 REGEX_BINARY_NODES = _nodes(Assoc.LEFT, regex=True)
 CONST_NODES = _nodes(None)  # the tokens of no precedence row
 
+# The operators that follow an operand in each layer, formulas and regexes:
+# token kind to row, the loosest row of the operators that its right operand
+# may hold (none for a postfix operator), and node class.  A logic's table
+# keeps PRECEDENCE's order, so these rows compare as its own would.
+_FORMULA, _REGEX = (
+    {
+        kind: (row, {Assoc.LEFT: row + 1, Assoc.RIGHT: row}.get(_ASSOC[kind]), cls)
+        for kind, cls in nodes.items()
+        for row in (_ROW[kind],)
+    }
+    for nodes in (BINARY_NODES, _nodes(Assoc.LEFT, Assoc.POSTFIX, regex=True))
+)
+
 _CLOSER_TEXT = {
     _K.RPAREN: ")",
     **{op.closer: op.spelling[1] for op in OPERATORS.values() if op.closer is not None},
@@ -218,27 +232,6 @@ _TEST_LEAVES = frozenset({_K.TT, _K.FF, *MODAL_NODES})
 # the evaluator.  At this limit each of them, and ``hash``, runs within
 # Python's default recursion limit when called from a stack 100 frames deep.
 MAX_DEPTH = 150
-
-
-def _dispatch(table: tuple[Level, ...]) -> tuple[dict, ...]:
-    """A logic's table as the parser's lookups by token kind: the formula
-    binary operators, the prefix operators, the modalities, the regex binary
-    operators and the regex postfix operators."""
-    place = {kind: (index, level.assoc) for index, level in enumerate(table) for kind in level.kinds}
-
-    def rows(assoc: Assoc) -> dict[TokenKind, int]:
-        return {kind: index for kind, (index, grouping) in place.items() if grouping is assoc}
-
-    return (
-        {kind: entry for kind, entry in place.items() if kind in BINARY_NODES},
-        rows(Assoc.PREFIX),
-        rows(Assoc.MODALITY),
-        {kind: entry for kind, entry in place.items() if kind in REGEX_BINARY_NODES},
-        rows(Assoc.POSTFIX),
-    )
-
-
-_DISPATCH = {logic: _dispatch(TABLES[logic]) for logic in Logic}
 
 
 class ParseErrorKind(enum.Enum):
@@ -265,7 +258,10 @@ def _describe(token: Token) -> str:
 
 
 class _Parser:
-    """Precedence climbing over one logic's table, in one pass with no rewind.
+    """Precedence climbing over both layers of the grammar, in one pass with
+    no rewind: ``climb`` reads the binary and postfix operators of a formula
+    (``_FORMULA``) or a regex (``_REGEX``), and every logic uses the same
+    lookups.
 
     ``step`` and ``test`` say which readings of the regex operand being read
     are still open; outside regexes only the test reading, plain formula
@@ -285,8 +281,6 @@ class _Parser:
             self.end_line, self.end_column = tail.line, tail.column + len(tail.lexeme)
         else:
             self.end_line, self.end_column = 1, 1
-        (self.formula_binary, self.prefix_level, self.modal_level,
-         self.regex_binary, self.regex_postfix) = _DISPATCH[logic]
         self.step_leaves = _STEP_LEAVES[logic]
         self.step, self.test = False, True
         self.depth = self.reach = 1
@@ -353,34 +347,49 @@ class _Parser:
             )
         self.advance()
 
-    # ------------------------------------------------------------ formulas
+    # ------------------------------------------------------------ climbing
 
-    def parse_formula(self, min_level: int = 0, lhs: Node | None = None) -> Node:
-        """A formula of operators binding at ``min_level`` or tighter, from its
-        first unit, or going on from ``lhs`` if that has been read."""
+    def climb(self, layer: dict, min_level: int = 0, lhs: Node | None = None) -> Node:
+        """A formula or regex, as ``layer`` says, of operators binding at
+        ``min_level`` or tighter, from its first unit, or going on from
+        ``lhs`` if that has been read."""
         if lhs is None:
-            lhs = self.formula_unit()
+            lhs = self.formula_unit() if layer is _FORMULA else self.regex_unit()
         while True:
             token = self.peek()
             if token is None:
                 break
-            entry = self.formula_binary.get(token.kind)
+            entry = layer.get(token.kind)
             if entry is None:
                 break
-            level, assoc = entry
+            level, rhs_level, node = entry
             if level < min_level:
                 break
             self.advance()
-            self.require_operand(token, "a propositional formula" if self.step else "a formula")
+            if rhs_level is None:
+                if node is RegexTest:
+                    raise self.err_at(
+                        token,
+                        ParseErrorKind.UNEXPECTED_TOKEN,
+                        "the test operator '?' must follow a formula, not a regular expression",
+                    )
+            elif layer is _REGEX:
+                self.require_operand(token, "a regular expression")
+            else:
+                self.require_operand(token, "a propositional formula" if self.step else "a formula")
             if self.reach >= MAX_DEPTH:  # the left operand goes a level down
                 raise self.too_deep(token)
             reach = self.reach + 1
-            self.depth += 1
-            rhs = self.parse_formula(level + 1 if assoc is Assoc.LEFT else level)
-            self.depth -= 1
+            if rhs_level is None:
+                lhs = node(lhs)
+            else:
+                self.depth += 1
+                lhs = node(lhs, self.climb(layer, rhs_level))
+                self.depth -= 1
             self.reach = max(reach, self.reach)
-            lhs = BINARY_NODES[token.kind](lhs, rhs)
         return lhs
+
+    # ------------------------------------------------------------ formulas
 
     def formula_unit(self) -> Node:
         token = self.peek()
@@ -388,19 +397,19 @@ class _Parser:
         if token is None:
             raise self.err_end(f"expected {what}")
         kind = token.kind
-        if kind in self.prefix_level:
+        if kind in PREFIX_NODES:
             self.advance()
             self.require_operand(token, what)
             if self.depth >= MAX_DEPTH:
                 raise self.too_deep(token)
             self.depth += 1
-            arg = self.parse_formula(self.prefix_level[kind])
+            arg = self.climb(_FORMULA, _ROW[kind])
             self.depth -= 1
             return PREFIX_NODES[kind](arg)
         if kind is _K.LPAREN:
             self.advance()
             self.open_paren(token)
-            inner = self.parse_formula(0)
+            inner = self.climb(_FORMULA)
             self.expect_closer(_K.RPAREN, token)
             self.parens -= 1
             return inner
@@ -421,7 +430,7 @@ class _Parser:
             if not self.test:
                 raise self.err_expected(token, what)
             self.step = False
-        if kind in self.modal_level:
+        if kind in MODAL_NODES:
             return self.modality(token)
         self.reach = self.depth
         if kind is _K.ATOM:
@@ -430,7 +439,7 @@ class _Parser:
         if kind in CONST_NODES:
             self.advance()
             return CONST_NODES[kind]()
-        if kind in self.formula_binary and token.lexeme[:1].isalpha():
+        if kind in _FORMULA and token.lexeme[:1].isalpha():
             raise self.err_at(
                 token,
                 ParseErrorKind.RESERVED_WORD,
@@ -451,61 +460,17 @@ class _Parser:
         if self.depth >= MAX_DEPTH:
             raise self.too_deep(opener)
         self.depth += 1
-        regex = self.parse_regex(0)
+        regex = self.climb(_REGEX)
         reach = self.reach
         self.expect_closer(closer, opener)
         if self.peek() is None:
             raise self.err_end(f"expected a formula after '{_CLOSER_TEXT[closer]}'")
-        arg = self.parse_formula(self.modal_level[opener.kind])
+        arg = self.climb(_FORMULA, _ROW[opener.kind])
         self.depth -= 1
         self.reach = max(reach, self.reach)
         return ctor(regex, arg)
 
     # ---------------------------------------------------- regular expressions
-
-    def parse_regex(self, min_level: int = 0, lhs: Node | None = None) -> Node:
-        """A regex of operators binding at ``min_level`` or tighter, from its
-        first operand, or going on from ``lhs`` if that has been read."""
-        if lhs is None:
-            lhs = self.regex_unit()
-        while True:
-            token = self.peek()
-            if token is None:
-                break
-            kind = token.kind
-            if kind in self.regex_binary:
-                level, assoc = self.regex_binary[kind]
-                if level < min_level:
-                    break
-                self.advance()
-                self.require_operand(token, "a regular expression")
-                if self.reach >= MAX_DEPTH:  # the left operand goes a level down
-                    raise self.too_deep(token)
-                reach = self.reach + 1
-                self.depth += 1
-                rhs = self.parse_regex(level + 1 if assoc is Assoc.LEFT else level)
-                self.depth -= 1
-                self.reach = max(reach, self.reach)
-                lhs = REGEX_BINARY_NODES[kind](lhs, rhs)
-            elif kind in self.regex_postfix:
-                if self.regex_postfix[kind] < min_level:
-                    break
-                if kind is _K.STAR:
-                    self.advance()
-                    if self.reach >= MAX_DEPTH:
-                        raise self.too_deep(token)
-                    self.reach += 1
-                    lhs = RegexStar(lhs)
-                else:
-                    raise self.err_at(
-                        token,
-                        ParseErrorKind.UNEXPECTED_TOKEN,
-                        "the test operator '?' must follow a formula, not a "
-                        "regular expression",
-                    )
-            else:
-                break
-        return lhs
 
     def regex_unit(self) -> Node:
         """One regex operand: a propositional step, a formula test, or a group.
@@ -537,7 +502,7 @@ class _Parser:
         """
         opener = self.peek()
         if opener is None or opener.kind is not _K.LPAREN:
-            return self.parse_formula(0), False
+            return self.climb(_FORMULA), False
         self.advance()
         self.open_paren(opener)
         inner, closed = self.regex_operand()
@@ -546,13 +511,13 @@ class _Parser:
             if token is not None and token.kind is _K.RPAREN:
                 self.advance()
                 self.parens -= 1
-                return self.parse_formula(0, inner), False
+                return self.climb(_FORMULA, 0, inner), False
             if self.step is (token is not None and token.kind is _K.TEST):
                 # the open reading cannot take the token: the ')' is missing
                 self.expect_closer(_K.RPAREN, opener)
             inner = self.close_operand(inner)
         self.depth -= 1  # the group stands where the operand does
-        regex = self.parse_regex(0, inner)
+        regex = self.climb(_REGEX, 0, inner)
         self.depth += 1
         self.expect_closer(_K.RPAREN, opener)
         self.parens -= 1
@@ -585,7 +550,7 @@ def parse(text: str, logic: Logic) -> Node:
     (:attr:`ParseErrorKind.NESTING_TOO_DEEP`).
     """
     parser = _Parser(text, logic)
-    node = parser.parse_formula(0)
+    node = parser.climb(_FORMULA)
     token = parser.peek()
     if token is not None:
         if token.kind in _CLOSER_TEXT:

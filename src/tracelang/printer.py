@@ -10,20 +10,10 @@ contract: parsing the output yields the tree that was printed.
 from __future__ import annotations
 
 import enum
-from typing import Callable
 
-from .formulas import Atom, Node, RegexProp, RegexStar, RegexTest
-from .lexer import KEYWORDS, _NAME_CONT, _NAME_START, is_input_char
-from .parser import (
-    BINARY_NODES,
-    CONST_NODES,
-    MODAL_NODES,
-    OPERATORS,
-    PRECEDENCE,
-    PREFIX_NODES,
-    REGEX_BINARY_NODES,
-    Assoc,
-)
+from .formulas import Atom, Node, RegexProp, RegexTest
+from .lexer import KEYWORDS, REGEX_KINDS, _NAME_CONT, _NAME_START, is_input_char
+from .parser import OPERATORS, PRECEDENCE, Assoc
 
 
 class Style(enum.Enum):
@@ -42,12 +32,15 @@ _PLACE: dict[type, tuple[int, Assoc]] = {
     for cls, op in OPERATORS.items()
     if op.kind in level.kinds
 }
-_CONST_CLASSES = frozenset(CONST_NODES.values())
-_BINARY_CLASSES = frozenset(BINARY_NODES.values())
-_PREFIX_CLASSES = frozenset(PREFIX_NODES.values())
-_MODAL_CLASSES = frozenset(cls for cls, _ in MODAL_NODES.values())
-_REGEX_BINARY_CLASSES = frozenset(REGEX_BINARY_NODES.values())
-_INFIX_CLASSES = _BINARY_CLASSES | _REGEX_BINARY_CLASSES
+# each layer's node classes, formulas and regular expressions, with their
+# spelling and row; leaves and steps have no row
+_ROLES = {cls: (op.spelling, *_PLACE.get(cls, (None, None))) for cls, op in OPERATORS.items()}
+_REGEX = {cls: role for cls, role in _ROLES.items()
+          if cls is RegexProp or OPERATORS[cls].kind in REGEX_KINDS}
+_FORMULA = {Atom: (None, None, None), **{c: r for c, r in _ROLES.items() if c not in _REGEX}}
+# bound once, as reading a member off the enum class is slow in a hot path
+_LEFT, _RIGHT, _PREFIX, _MODALITY = Assoc.LEFT, Assoc.RIGHT, Assoc.PREFIX, Assoc.MODALITY
+_INFIX_LEVEL = {cls: level for cls, (level, assoc) in _PLACE.items() if assoc in (_LEFT, _RIGHT)}
 
 
 def _atom_text(atom: Atom) -> str:
@@ -74,66 +67,49 @@ def format_formula(node: Node, style: Style = Style.CANONICAL) -> str:
     Raises :class:`UnprintableAtomError` for atom names outside the printable
     character set or containing both quote characters.
     """
-    return _formula(node, style is Style.FULL_PARENS)
+    return _render(node, style is Style.FULL_PARENS)
 
 
-def _wrap(text: str, full: bool) -> str:
+def _render(node: Node, full: bool, layer: dict = _FORMULA) -> str:
+    """Render ``node`` as a formula or a regular expression, as ``layer`` says."""
+    cls = type(node)
+    role = layer.get(cls)
+    if role is None:
+        raise TypeError(
+            f"not a {'formula' if layer is _FORMULA else 'regular-expression'} node: {node!r}"
+        )
+    spelling, level, assoc = role
+    if assoc is None:  # a leaf, or a step: its formula comes back parenthesised in full mode
+        if cls is Atom:
+            return _atom_text(node)  # type: ignore[arg-type]
+        if cls is RegexProp:
+            return _render(node.prop, full)  # type: ignore[attr-defined]
+        return spelling
+    if assoc is _LEFT or assoc is _RIGHT:
+        left = _operand(node.left, level, full, layer, assoc is _RIGHT)  # type: ignore
+        right = _operand(node.right, level, full, layer, assoc is _LEFT)  # type: ignore
+        text = f"{left} {spelling} {right}"
+    elif assoc is _PREFIX:
+        text = spelling + _operand(node.arg, level, full)  # type: ignore
+    elif assoc is _MODALITY:
+        opening, closing = spelling
+        regex = _render(node.regex, full, _REGEX)  # type: ignore[attr-defined]
+        text = f"{opening}{regex}{closing}{_operand(node.arg, level, full)}"  # type: ignore
+    elif cls is RegexTest:  # the test's formula reaches up to its '?'
+        text = _render(node.arg, full) + spelling  # type: ignore
+    else:
+        text = _operand(node.arg, level, full, _REGEX) + spelling  # type: ignore
     return f"({text})" if full else text
 
 
-def _formula(node: Node, full: bool) -> str:
-    cls = type(node)
-    if cls is Atom:
-        return _atom_text(node)  # type: ignore[arg-type]
-    if cls in _CONST_CLASSES:
-        return OPERATORS[cls].spelling  # type: ignore[return-value]
-    if cls in _PREFIX_CLASSES:
-        level, _ = _PLACE[cls]
-        arg = node.arg  # type: ignore[attr-defined]
-        text = OPERATORS[cls].spelling + _operand(arg, level, full, _formula)  # type: ignore[operator]
-        return _wrap(text, full)
-    if cls in _MODAL_CLASSES:
-        level, _ = _PLACE[cls]
-        opening, closing = OPERATORS[cls].spelling  # type: ignore[misc]
-        regex = _regex(node.regex, full)  # type: ignore[attr-defined]
-        arg = _operand(node.arg, level, full, _formula)  # type: ignore[attr-defined]
-        return _wrap(f"{opening}{regex}{closing}{arg}", full)
-    if cls in _BINARY_CLASSES:
-        level, assoc = _PLACE[cls]
-        left = _operand(node.left, level, full, _formula, assoc is not Assoc.LEFT)  # type: ignore[attr-defined]
-        right = _operand(node.right, level, full, _formula, assoc is not Assoc.RIGHT)  # type: ignore[attr-defined]
-        return _wrap(f"{left} {OPERATORS[cls].spelling} {right}", full)
-    raise TypeError(f"not a formula node: {node!r}")
-
-
-def _regex(node: Node, full: bool) -> str:
-    cls = type(node)
-    if cls is RegexProp:
-        # compound step formulas come back already parenthesised in full mode
-        return _formula(node.prop, full)  # type: ignore[attr-defined]
-    if cls is RegexTest:
-        text = _formula(node.arg, full) + OPERATORS[cls].spelling  # type: ignore
-        return _wrap(text, full)
-    if cls is RegexStar:
-        level, _ = _PLACE[cls]
-        text = _operand(node.arg, level, full, _regex) + OPERATORS[cls].spelling  # type: ignore
-        return _wrap(text, full)
-    if cls in _REGEX_BINARY_CLASSES:
-        level, assoc = _PLACE[cls]
-        left = _operand(node.left, level, full, _regex, assoc is not Assoc.LEFT)  # type: ignore[attr-defined]
-        right = _operand(node.right, level, full, _regex, assoc is not Assoc.RIGHT)  # type: ignore[attr-defined]
-        return _wrap(f"{left} {OPERATORS[cls].spelling} {right}", full)
-    raise TypeError(f"not a regular-expression node: {node!r}")
-
-
-def _operand(child: Node, level: int, full: bool,
-             render: Callable[[Node, bool], str], tie: bool = False) -> str:
+def _operand(child: Node, level: int, full: bool, layer: dict = _FORMULA,
+             tie: bool = False) -> str:
     """Render an operand of an operator that binds at ``level``; ``tie`` says
     whether a binary operand binding just as tightly needs parentheses too."""
-    text = render(child, full)
-    if full or type(child) not in _INFIX_CLASSES:
+    text = _render(child, full, layer)
+    if full:
         return text
-    child_level, _ = _PLACE[type(child)]
-    if child_level < level or (tie and child_level == level):
+    child_level = _INFIX_LEVEL.get(type(child))
+    if child_level is not None and (child_level < level or (tie and child_level == level)):
         return f"({text})"
     return text

@@ -80,7 +80,10 @@ class Trace:
     )
 
     def __post_init__(self) -> None:
-        steps = tuple(frozenset(step) for step in self.steps)
+        steps = tuple(self.steps)
+        for step in filter(str.__instancecheck__, steps):  # the first string, if any
+            raise TypeError(f"a step is a collection of atom names, not the string {step!r}")
+        steps = tuple(map(frozenset, steps))
         where: dict[str, list[int]] = {}
         for i, step in enumerate(steps):
             for atom in step:

@@ -345,6 +345,23 @@ def test_eval_refuses_unreadable_traces_without_a_traceback(tmp_path, content):
     assert "Traceback" not in err and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("content, expected", [
+    ("a & \u00e9".encode("utf-8"), "1:5: illegal character '\u00e9'\n"),
+    (b"a &\n\xe9 b", "2:1: illegal character '\ufffd'\n"),
+], ids=["UTF-8", "not UTF-8"])
+def test_formula_files_are_read_as_utf8_and_columns_count_characters(tmp_path, content,
+                                                                      expected):
+    source = tmp_path / "formula.txt"
+    source.write_bytes(content)
+    env = dict(os.environ, PYTHONPATH=str(Path(tracelang.__file__).parents[1]),
+               PYTHONIOENCODING="utf-8")
+    done = subprocess.run(
+        [sys.executable, "-m", "tracelang.cli", "check", "--logic", "ltlf", str(source)],
+        capture_output=True, env=env, timeout=60,
+    )
+    assert (done.returncode, done.stderr.decode("utf-8")) == (1, expected)
+
+
 @pytest.mark.parametrize("content, needle", [
     (b'{"logic": "ltlf", "input": "\xff", "expect": "ok"}\n', "cannot read manifest "),
     (b"[" * 10**5 + b"]" * 10**5 + b"\n", "manifest line 1: invalid JSON: "),

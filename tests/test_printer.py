@@ -126,6 +126,17 @@ def test_full_parens_examples():
     assert full(Diamond(RegexTest(tt), tt)) == "(<(tt?)>tt)"
 
 
+@pytest.mark.parametrize("style", list(Style))
+def test_each_node_prints_only_in_its_own_layer(style):
+    # a regex node where a formula belongs, and a formula node in a regex slot
+    with pytest.raises(TypeError, match="^not a formula node: "):
+        format_formula(RegexStar(RegexProp(a)), style)
+    with pytest.raises(TypeError, match="^not a regular-expression node: "):
+        format_formula(Diamond(a, tt), style)
+    with pytest.raises(TypeError, match="^not a formula node: "):
+        format_formula(Box(RegexTest(RegexProp(a)), tt), style)
+
+
 # ------------------------------------------------------------------- quoting
 
 

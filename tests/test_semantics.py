@@ -87,6 +87,15 @@ def test_trace_rejects_non_string_atoms():
         Trace([[1]])
 
 
+def test_trace_rejects_a_string_as_a_step():
+    # a string is an iterable of one-letter names, never the step its name says
+    with pytest.raises(TypeError, match="not the string 'request'"):
+        Trace(["request"])
+    with pytest.raises(TypeError):
+        Trace([["p"], "q"])
+    assert Trace([("request",)]) == Trace([["request"]])
+
+
 # --------------------------------------------------------------- prop steps
 
 
