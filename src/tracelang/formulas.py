@@ -7,62 +7,115 @@ hashable, and structural equality ignores how an atom was quoted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
 from typing import Iterator
+
+_set = object.__setattr__  # sets a field past the frozen Node.__setattr__
 
 
 class Node:
-    """Base class for every formula and regular-expression node."""
+    """Base class for every formula and regular-expression node.
+
+    ``_fields`` names a class's fields in order.  A node is immutable, shows
+    its fields in its ``repr``, and equals (and hashes as) a node of the same
+    class whose compared fields, ``_key()``, are equal.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple(map(self.__getattribute__, self._fields))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+# The shapes of the nodes with operands: one, two, or a modality's regex and
+# the formula it leads to.  Each declares its fields and constructor once.
+class Unary(Node):
+    _fields = __match_args__ = ("arg",)
+
+    def __init__(self, arg: Node) -> None:
+        _set(self, "arg", arg)
+
+
+class Binary(Node):
+    _fields = __match_args__ = ("left", "right")
+
+    def __init__(self, left: Node, right: Node) -> None:
+        _set(self, "left", left)
+        _set(self, "right", right)
+
+
+class Modal(Node):
+    _fields = __match_args__ = ("regex", "arg")
+
+    def __init__(self, regex: Node, arg: Node) -> None:
+        _set(self, "regex", regex)
+        _set(self, "arg", arg)
 
 
 # ---------------------------------------------------------------- leaves
 
 
-@dataclass(frozen=True)
 class Atom(Node):
     """A named proposition; ``quoted`` records surface quoting only and is
     ignored by equality and hashing."""
 
-    name: str
-    quoted: bool = field(default=False, compare=False)
+    _fields = __match_args__ = ("name", "quoted")
+
+    def __init__(self, name: str, quoted: bool = False) -> None:
+        _set(self, "name", name)
+        _set(self, "quoted", quoted)
+
+    def _key(self) -> tuple:
+        return (self.name,)
 
 
-@dataclass(frozen=True)
 class TrueConst(Node):
     """Propositional constant ``true`` (holds at a step)."""
 
 
-@dataclass(frozen=True)
 class FalseConst(Node):
     """Propositional constant ``false``."""
 
 
-@dataclass(frozen=True)
 class Tautology(Node):
     """Logical constant ``tt``, true everywhere (even beyond the last step)."""
 
 
-@dataclass(frozen=True)
 class Contradiction(Node):
     """Logical constant ``ff``, false everywhere."""
 
 
-@dataclass(frozen=True)
 class Last(Node):
     """Holds exactly at the final position of a trace."""
 
 
-@dataclass(frozen=True)
 class End(Node):
     """Never holds on a finite trace."""
 
 
-@dataclass(frozen=True)
 class First(Node):
     """Holds exactly at position zero."""
 
 
-@dataclass(frozen=True)
 class Start(Node):
     """Never holds on a finite trace."""
 
@@ -70,180 +123,130 @@ class Start(Node):
 # ---------------------------------------------------------------- connectives
 
 
-@dataclass(frozen=True)
-class Not(Node):
-    arg: Node
+class Not(Unary):
+    pass
 
 
-@dataclass(frozen=True)
-class And(Node):
-    left: Node
-    right: Node
+class And(Binary):
+    pass
 
 
-@dataclass(frozen=True)
-class Or(Node):
-    left: Node
-    right: Node
+class Or(Binary):
+    pass
 
 
-@dataclass(frozen=True)
-class Implies(Node):
-    left: Node
-    right: Node
+class Implies(Binary):
+    pass
 
 
-@dataclass(frozen=True)
-class Equiv(Node):
-    left: Node
-    right: Node
+class Equiv(Binary):
+    pass
 
 
-@dataclass(frozen=True)
-class Xor(Node):
-    left: Node
-    right: Node
+class Xor(Binary):
+    pass
 
 
 # ------------------------------------------------- future-time temporal
 
 
-@dataclass(frozen=True)
-class WeakNext(Node):
-    arg: Node
+class WeakNext(Unary):
+    pass
 
 
-@dataclass(frozen=True)
-class StrongNext(Node):
-    arg: Node
+class StrongNext(Unary):
+    pass
 
 
-@dataclass(frozen=True)
-class Until(Node):
-    left: Node
-    right: Node
+class Until(Binary):
+    pass
 
 
-@dataclass(frozen=True)
-class WeakUntil(Node):
-    left: Node
-    right: Node
+class WeakUntil(Binary):
+    pass
 
 
-@dataclass(frozen=True)
-class Release(Node):
-    left: Node
-    right: Node
+class Release(Binary):
+    pass
 
 
-@dataclass(frozen=True)
-class StrongRelease(Node):
-    left: Node
-    right: Node
+class StrongRelease(Binary):
+    pass
 
 
-@dataclass(frozen=True)
-class Eventually(Node):
-    arg: Node
+class Eventually(Unary):
+    pass
 
 
-@dataclass(frozen=True)
-class Always(Node):
-    arg: Node
+class Always(Unary):
+    pass
 
 
 # --------------------------------------------------- past-time temporal
 
 
-@dataclass(frozen=True)
-class Before(Node):
-    arg: Node
+class Before(Unary):
+    pass
 
 
-@dataclass(frozen=True)
-class Since(Node):
-    left: Node
-    right: Node
+class Since(Binary):
+    pass
 
 
-@dataclass(frozen=True)
-class Once(Node):
-    arg: Node
+class Once(Unary):
+    pass
 
 
-@dataclass(frozen=True)
-class Historically(Node):
-    arg: Node
+class Historically(Unary):
+    pass
 
 
 # ------------------------------------------------- dynamic-logic modalities
 
 
-@dataclass(frozen=True)
-class Diamond(Node):
+class Diamond(Modal):
     """``<regex>arg``: some regex path from here reaches a position where arg holds."""
 
-    regex: Node
-    arg: Node
 
-
-@dataclass(frozen=True)
-class Box(Node):
+class Box(Modal):
     """``[regex]arg``: every regex path from here reaches only positions where arg holds."""
 
-    regex: Node
-    arg: Node
 
-
-@dataclass(frozen=True)
-class BackDiamond(Node):
+class BackDiamond(Modal):
     """``<<regex>>arg``: the backward-moving counterpart of :class:`Diamond`."""
 
-    regex: Node
-    arg: Node
 
-
-@dataclass(frozen=True)
-class BackBox(Node):
+class BackBox(Modal):
     """``[[regex]]arg``: the backward-moving counterpart of :class:`Box`."""
-
-    regex: Node
-    arg: Node
 
 
 # ------------------------------------------------------ regular expressions
 
 
-@dataclass(frozen=True)
 class RegexProp(Node):
     """A purely propositional step formula used as a one-step regex."""
 
-    prop: Node
+    _fields = __match_args__ = ("prop",)
+
+    def __init__(self, prop: Node) -> None:
+        _set(self, "prop", prop)
 
 
-@dataclass(frozen=True)
-class RegexTest(Node):
+class RegexTest(Unary):
     """``arg?`` where ``arg`` is a full formula of the owning logic, checked in
     place without moving."""
 
-    arg: Node
+
+class RegexConcat(Binary):
+    pass
 
 
-@dataclass(frozen=True)
-class RegexConcat(Node):
-    left: Node
-    right: Node
+class RegexUnion(Binary):
+    pass
 
 
-@dataclass(frozen=True)
-class RegexUnion(Node):
-    left: Node
-    right: Node
-
-
-@dataclass(frozen=True)
-class RegexStar(Node):
-    arg: Node
+class RegexStar(Unary):
+    pass
 
 
 # ------------------------------------------------------------------ helpers
@@ -252,10 +255,7 @@ class RegexStar(Node):
 def children(node: Node) -> tuple[Node, ...]:
     """Immediate subtrees of ``node``, in field order."""
     return tuple(
-        value
-        for f in fields(node)  # type: ignore[arg-type]
-        for value in (getattr(node, f.name),)
-        if isinstance(value, Node)
+        value for value in map(node.__getattribute__, node._fields) if isinstance(value, Node)
     )
 
 
@@ -291,9 +291,7 @@ def desugar(node: Node) -> Node:
     if isinstance(node, Start):
         return Historically(FalseConst())
     values = [
-        desugar(v) if isinstance(v, Node) else v
-        for f in fields(node)  # type: ignore[arg-type]
-        for v in (getattr(node, f.name),)
+        desugar(v) if isinstance(v, Node) else v for v in map(node.__getattribute__, node._fields)
     ]
     return type(node)(*values)
 

@@ -13,7 +13,7 @@ printer and the JSON serialiser read the same two facts.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .formulas import (
     And,
@@ -65,6 +65,9 @@ from .lexer import (
 )
 
 _K = TokenKind
+# the kinds the parser's units test, bound once: an enum member read off its
+# class costs several times a module-level name
+_ATOM, _LPAREN, _RPAREN, _TEST = _K.ATOM, _K.LPAREN, _K.RPAREN, _K.TEST
 
 
 class Assoc(enum.Enum):
@@ -75,8 +78,7 @@ class Assoc(enum.Enum):
     MODALITY = "modality"
 
 
-@dataclass(frozen=True)
-class Level:
+class Level(NamedTuple):
     """One precedence row: the operator tokens that share it and how they group."""
 
     kinds: frozenset[TokenKind]
@@ -87,8 +89,7 @@ def _level(assoc: Assoc, *kinds: TokenKind) -> Level:
     return Level(frozenset(kinds), assoc)
 
 
-@dataclass(frozen=True)
-class Operator:
+class Operator(NamedTuple):
     """How one node class is written and named.
 
     ``kind`` is the token that builds the node, ``spelling`` its canonical
@@ -406,11 +407,11 @@ class _Parser:
             arg = self.climb(_FORMULA, _ROW[kind])
             self.depth -= 1
             return PREFIX_NODES[kind](arg)
-        if kind is _K.LPAREN:
+        if kind is _LPAREN:
             self.advance()
             self.open_paren(token)
             inner = self.climb(_FORMULA)
-            self.expect_closer(_K.RPAREN, token)
+            self.expect_closer(_RPAREN, token)
             self.parens -= 1
             return inner
         if kind in self.step_leaves:
@@ -420,7 +421,7 @@ class _Parser:
                     ParseErrorKind.ATOM_NOT_ALLOWED_HERE,
                     f"atom {token.lexeme!r} cannot appear at formula level in "
                     f"{self.logic}; atoms belong inside a modality's regular expression"
-                    if kind is _K.ATOM else
+                    if kind is _ATOM else
                     f"propositional constant '{token.lexeme}' cannot appear at formula "
                     f"level in {self.logic}; use 'tt' or 'ff' here, or move it inside "
                     f"a modality's regular expression",
@@ -433,7 +434,7 @@ class _Parser:
         if kind in MODAL_NODES:
             return self.modality(token)
         self.reach = self.depth
-        if kind is _K.ATOM:
+        if kind is _ATOM:
             self.advance()
             return self.make_atom(token)
         if kind in CONST_NODES:
@@ -501,25 +502,25 @@ class _Parser:
         formula, which goes on after the ')'.
         """
         opener = self.peek()
-        if opener is None or opener.kind is not _K.LPAREN:
+        if opener is None or opener.kind is not _LPAREN:
             return self.climb(_FORMULA), False
         self.advance()
         self.open_paren(opener)
         inner, closed = self.regex_operand()
         token = self.peek()
         if not closed:
-            if token is not None and token.kind is _K.RPAREN:
+            if token is not None and token.kind is _RPAREN:
                 self.advance()
                 self.parens -= 1
                 return self.climb(_FORMULA, 0, inner), False
-            if self.step is (token is not None and token.kind is _K.TEST):
+            if self.step is (token is not None and token.kind is _TEST):
                 # the open reading cannot take the token: the ')' is missing
-                self.expect_closer(_K.RPAREN, opener)
+                self.expect_closer(_RPAREN, opener)
             inner = self.close_operand(inner)
         self.depth -= 1  # the group stands where the operand does
         regex = self.climb(_REGEX, 0, inner)
         self.depth += 1
-        self.expect_closer(_K.RPAREN, opener)
+        self.expect_closer(_RPAREN, opener)
         self.parens -= 1
         return regex, True
 
@@ -530,7 +531,7 @@ class _Parser:
         mark = self.peek()
         if mark is None:
             raise self.err_end("expected '?' after a formula used inside a regular expression")
-        if mark.kind is not _K.TEST:
+        if mark.kind is not _TEST:
             raise self.err_at(
                 mark,
                 ParseErrorKind.UNEXPECTED_TOKEN,

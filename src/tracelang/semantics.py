@@ -16,7 +16,6 @@ and ``[r]f = not <r> not f`` (De Giacomo and Vardi, IJCAI 2013).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from .lexer import Logic
@@ -27,6 +26,7 @@ from .formulas import (
     BackBox,
     BackDiamond,
     Before,
+    Binary,
     Box,
     Contradiction,
     Diamond,
@@ -38,6 +38,7 @@ from .formulas import (
     Historically,
     Implies,
     Last,
+    Modal,
     Node,
     Not,
     Once,
@@ -54,6 +55,7 @@ from .formulas import (
     StrongRelease,
     Tautology,
     TrueConst,
+    Unary,
     Until,
     WeakNext,
     WeakUntil,
@@ -69,18 +71,19 @@ class PositionOutOfRangeError(IndexError):
     """Raised when the requested position is outside the logic's legal range."""
 
 
-@dataclass(frozen=True)
 class Trace:
-    """An immutable finite trace; construct from any iterable of atom-name iterables."""
+    """An immutable finite trace; construct from any iterable of atom-name iterables.
 
-    steps: tuple[frozenset[str], ...] = ()
-    # bit i of atom_masks[name] is set when the atom holds at step i
-    atom_masks: dict[str, int] = field(
-        default_factory=dict, init=False, compare=False, repr=False
-    )
+    Like a node, it compares, hashes and shows itself by its fields: ``steps``.
+    """
 
-    def __post_init__(self) -> None:
-        steps = tuple(self.steps)
+    _fields = __match_args__ = ("steps",)
+    _key = Node._key
+    __eq__, __hash__, __repr__ = Node.__eq__, Node.__hash__, Node.__repr__
+    __setattr__, __delattr__ = Node.__setattr__, Node.__delattr__
+
+    def __init__(self, steps: Iterable[Iterable[str]] = ()) -> None:
+        steps = tuple(steps)
         for step in filter(str.__instancecheck__, steps):  # the first string, if any
             raise TypeError(f"a step is a collection of atom names, not the string {step!r}")
         steps = tuple(map(frozenset, steps))
@@ -91,9 +94,8 @@ class Trace:
                     raise TypeError(f"atom names must be strings, got {atom!r}")
                 where.setdefault(atom, []).append(i)
         object.__setattr__(self, "steps", steps)
-        object.__setattr__(
-            self, "atom_masks", {atom: _bits(at) for atom, at in where.items()}
-        )
+        # bit i of atom_masks[name] is set when the atom holds at step i
+        object.__setattr__(self, "atom_masks", {atom: _bits(at) for atom, at in where.items()})
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -134,15 +136,16 @@ class _Labeller:
 
     def label(self, f: Node) -> int:
         # operands are labelled here, so each nesting level costs one frame
-        entry = self.rules.get(type(f))
-        if entry is None:
+        cls = type(f)
+        rule = self.rules.get(cls)
+        if rule is None:
             raise TypeError(f"{self.refusal}: {f!r}")
-        shape, rule = entry
-        if shape is _BINARY:
+        shape = cls.__base__
+        if shape is Binary:
             return rule(self, self.label(f.left), self.label(f.right))
-        if shape is _UNARY:
+        if shape is Unary:
             return rule(self, self.label(f.arg))
-        if shape is _MODAL:
+        if shape is Modal:
             return rule(self, self.pre(f.regex), self.label(f.arg))
         return rule(self, f)
 
@@ -201,31 +204,29 @@ class _Labeller:
         raise TypeError(f"not a regular-expression node: {r!r}")
 
 
-# A rule gets the labeller and, by the shape of its node: a leaf, the node
-# itself; a unary or binary node, the labels of its operands; a modality, the
-# transformer of its regex and the label of its argument.
-_LEAF, _UNARY, _BINARY, _MODAL = "leaf", "unary", "binary", "modal"
-
+# A rule gets the labeller and, by the shape its node's class derives from: a
+# leaf, the node itself; a unary or binary node, the labels of its operands; a
+# modality, the transformer of its regex and the label of its argument.
 _BOOLEAN = {
-    Not: (_UNARY, lambda s, a: s.full & ~a),
-    And: (_BINARY, lambda s, a, b: a & b),
-    Or: (_BINARY, lambda s, a, b: a | b),
-    Implies: (_BINARY, lambda s, a, b: (s.full & ~a) | b),
-    Equiv: (_BINARY, lambda s, a, b: s.full & ~(a ^ b)),
-    Xor: (_BINARY, lambda s, a, b: a ^ b),
+    Not: lambda s, a: s.full & ~a,
+    And: lambda s, a, b: a & b,
+    Or: lambda s, a, b: a | b,
+    Implies: lambda s, a, b: (s.full & ~a) | b,
+    Equiv: lambda s, a, b: s.full & ~(a ^ b),
+    Xor: lambda s, a, b: a ^ b,
 }
 _PROPOSITIONAL = {
-    Atom: (_LEAF, lambda s, f: s.atom_masks.get(f.name, 0)),
-    TrueConst: (_LEAF, lambda s, f: s.steps),
-    FalseConst: (_LEAF, lambda s, f: 0),
+    Atom: lambda s, f: s.atom_masks.get(f.name, 0),
+    TrueConst: lambda s, f: s.steps,
+    FalseConst: lambda s, f: 0,
     **_BOOLEAN,
 }
 _CONSTANTS = {
-    Tautology: (_LEAF, lambda s, f: s.full),
-    Contradiction: (_LEAF, lambda s, f: 0),
+    Tautology: lambda s, f: s.full,
+    Contradiction: lambda s, f: 0,
 }
-_DIAMOND = (_MODAL, lambda s, pre, a: pre(a))
-_BOX = (_MODAL, lambda s, pre, a: s.full & ~pre(s.full & ~a))
+_DIAMOND = lambda s, pre, a: pre(a)
+_BOX = lambda s, pre, a: s.full & ~pre(s.full & ~a)
 
 # the rules each logic admits, and how it refuses any other node
 _RULES = {
@@ -234,16 +235,16 @@ _RULES = {
         {
             **_PROPOSITIONAL,
             **_CONSTANTS,
-            Last: (_LEAF, lambda s, f: 1 << s.n - 1),
-            End: (_LEAF, lambda s, f: 0),
-            WeakNext: (_UNARY, lambda s, a: (a >> 1) | 1 << s.n - 1),
-            StrongNext: (_UNARY, lambda s, a: a >> 1),
-            Until: (_BINARY, _Labeller.until),
-            WeakUntil: (_BINARY, lambda s, a, b: s.until(a, b) | s.always(a)),
-            Release: (_BINARY, lambda s, a, b: s.until(b, a & b) | s.always(b)),
-            StrongRelease: (_BINARY, lambda s, a, b: s.until(b, a & b)),
-            Eventually: (_UNARY, lambda s, a: (1 << a.bit_length()) - 1),
-            Always: (_UNARY, _Labeller.always),
+            Last: lambda s, f: 1 << s.n - 1,
+            End: lambda s, f: 0,
+            WeakNext: lambda s, a: (a >> 1) | 1 << s.n - 1,
+            StrongNext: lambda s, a: a >> 1,
+            Until: _Labeller.until,
+            WeakUntil: lambda s, a, b: s.until(a, b) | s.always(a),
+            Release: lambda s, a, b: s.until(b, a & b) | s.always(b),
+            StrongRelease: lambda s, a, b: s.until(b, a & b),
+            Eventually: lambda s, a: (1 << a.bit_length()) - 1,
+            Always: _Labeller.always,
         },
         "not an LTLf formula",
     ),
@@ -251,12 +252,12 @@ _RULES = {
         {
             **_PROPOSITIONAL,
             **_CONSTANTS,
-            First: (_LEAF, lambda s, f: 1),
-            Start: (_LEAF, lambda s, f: 0),
-            Before: (_UNARY, lambda s, a: (a << 1) & s.full),
-            Since: (_BINARY, _Labeller.since),
-            Once: (_UNARY, lambda s, a: s.since(s.full, a)),
-            Historically: (_UNARY, lambda s, a: s.full & ~s.since(s.full, s.full & ~a)),
+            First: lambda s, f: 1,
+            Start: lambda s, f: 0,
+            Before: lambda s, a: (a << 1) & s.full,
+            Since: _Labeller.since,
+            Once: lambda s, a: s.since(s.full, a),
+            Historically: lambda s, a: s.full & ~s.since(s.full, s.full & ~a),
         },
         "not a PLTLf formula",
     ),
@@ -276,7 +277,7 @@ _RULES = {
 
 def eval_prop(node: Node, step: Iterable[str]) -> bool:
     """Evaluate a purely propositional formula against one step."""
-    return _Labeller(dict.fromkeys(step, 1), 1, None).label(node) == 1
+    return _Labeller(Trace([step]).atom_masks, 1, None).label(node) == 1
 
 
 # each logic's name and the bounds of its positions on a trace of n steps,

@@ -3,9 +3,7 @@
 from __future__ import annotations
 
 from .formulas import Atom, Node, children
-from .parser import CONST_NODES, OPERATORS
-
-_LEAF_CLASSES = frozenset(CONST_NODES.values())
+from .parser import OPERATORS
 
 
 def formula_to_dict(node: Node) -> dict:
@@ -21,7 +19,7 @@ def formula_to_dict(node: Node) -> dict:
     op = OPERATORS.get(cls)
     if op is None:
         raise TypeError(f"cannot serialise {node!r}")
-    if cls in _LEAF_CLASSES:
+    if not cls._fields:  # a constant
         return {"op": op.json}
     if op.closer is not None:
         return {

@@ -320,6 +320,19 @@ def test_the_package_root_leaves_the_command_line_alone(tmp_path):
     assert probe.stdout.strip() == b"[]"
 
 
+def test_the_command_line_starts_without_dataclasses_or_inspect():
+    # each call is a new process; these two cost a CLI call most of its import
+    # (counted from after start-up, which may load them for its own reasons)
+    env = dict(os.environ, PYTHONPATH=str(Path(tracelang.__file__).parents[1]))
+    probe = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; before = set(sys.modules); import tracelang.cli; "
+         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules) - before))"],
+        capture_output=True, env=env, timeout=60, check=True,
+    )
+    assert probe.stdout.strip() == b"[]"
+
+
 # ------------------------------------------ undecodable and too-deep files
 
 

@@ -24,9 +24,11 @@ from tracelang import (
     RegexStar,
     RegexTest,
     Start,
+    Trace,
     TrueConst,
     Until,
     WeakNext,
+    WeakUntil,
     atoms,
     children,
     desugar,
@@ -42,6 +44,9 @@ def test_structural_equality_and_hashing():
     assert hash(And(Atom("x"), TrueConst())) == hash(And(Atom("x"), TrueConst()))
     assert TrueConst() != FalseConst()
     assert Last() != End()
+    assert Until(Atom("a"), Atom("b")) != WeakUntil(Atom("a"), Atom("b"))
+    assert Not(Atom("a")) != RegexStar(Atom("a"))
+    assert Until(left=Atom("a"), right=Atom("b")) == Until(Atom("a"), Atom("b"))
 
 
 def test_quoting_is_invisible_to_equality():
@@ -54,6 +59,41 @@ def test_quoting_is_invisible_to_equality():
 def test_nodes_are_immutable():
     with pytest.raises(FrozenInstanceError):
         Atom("a").name = "b"
+    node = Not(Atom("a"))
+    with pytest.raises(FrozenInstanceError):
+        del node.arg
+    with pytest.raises(FrozenInstanceError):
+        Trace([{"a"}]).steps = ()
+
+
+def test_each_shape_shows_its_fields_and_takes_exactly_them():
+    a, b = Atom("a"), Atom("b")
+    assert repr(TrueConst()) == "TrueConst()"
+    assert repr(Atom("x y", quoted=True)) == "Atom(name='x y', quoted=True)"
+    assert repr(Not(a)) == "Not(arg=Atom(name='a', quoted=False))"
+    assert repr(Until(a, b)) == (
+        "Until(left=Atom(name='a', quoted=False), right=Atom(name='b', quoted=False))"
+    )
+    assert repr(Diamond(RegexProp(a), b)) == (
+        "Diamond(regex=RegexProp(prop=Atom(name='a', quoted=False)), "
+        "arg=Atom(name='b', quoted=False))"
+    )
+    assert repr(Trace([{"a"}, ()])) == "Trace(steps=(frozenset({'a'}), frozenset()))"
+    match Diamond(RegexProp(a), Until(a, b)):  # positional patterns follow the fields
+        case Diamond(RegexProp(x), Until(y, z)):
+            assert (x, y, z) == (a, a, b)
+        case _:
+            pytest.fail("no positional match")
+    for make in (
+        lambda: TrueConst(a),
+        lambda: Atom(),
+        lambda: Not(a, b),
+        lambda: Until(a),
+        lambda: Diamond(RegexProp(a)),
+        lambda: RegexProp(a, b),
+    ):
+        with pytest.raises(TypeError):
+            make()
 
 
 def test_children_in_field_order():

@@ -112,6 +112,15 @@ def test_eval_prop():
         eval_prop(Eventually(p), step)
 
 
+def test_eval_prop_checks_its_step_as_a_trace_does():
+    with pytest.raises(TypeError, match="not the string 'ab'"):
+        eval_prop(Atom("a"), "ab")
+    with pytest.raises(TypeError, match="atom names must be strings"):
+        eval_prop(Atom("a"), [1])
+    assert eval_prop(Atom("ab"), ("ab",))
+    assert not eval_prop(p, ())
+
+
 # --------------------------------------------------------------------- LTLf
 
 
