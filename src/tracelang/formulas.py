@@ -54,6 +54,9 @@ class Unary(Node):
     def __init__(self, arg: Node) -> None:
         _set(self, "arg", arg)
 
+    def _key(self) -> tuple:
+        return (self.arg,)
+
 
 class Binary(Node):
     _fields = __match_args__ = ("left", "right")
@@ -62,6 +65,9 @@ class Binary(Node):
         _set(self, "left", left)
         _set(self, "right", right)
 
+    def _key(self) -> tuple:
+        return (self.left, self.right)
+
 
 class Modal(Node):
     _fields = __match_args__ = ("regex", "arg")
@@ -69,6 +75,9 @@ class Modal(Node):
     def __init__(self, regex: Node, arg: Node) -> None:
         _set(self, "regex", regex)
         _set(self, "arg", arg)
+
+    def _key(self) -> tuple:
+        return (self.regex, self.arg)
 
 
 # ---------------------------------------------------------------- leaves

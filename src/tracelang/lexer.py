@@ -21,6 +21,10 @@ class Logic(enum.Enum):
     PLTLF = "pltlf"
     PLDLF = "pldlf"
 
+    # members are singletons and compare by identity, so they may hash by it
+    # too, in C, where Enum's own __hash__ is a Python call on every lookup
+    __hash__ = object.__hash__
+
     def __str__(self) -> str:
         return self.value
 

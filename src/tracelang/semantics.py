@@ -12,10 +12,18 @@ holds, kept as an ``int`` bit set (path labelling, after Markey and
 Schnoebelen, "Model Checking a Path", CONCUR 2003), and then reads one bit.
 Modalities are predecessor transformers on those sets, ``<r>f = pre_r(S_f)``
 and ``[r]f = not <r> not f`` (De Giacomo and Vardi, IJCAI 2013).
+
+A formula is compiled once per logic into a program, a closure per node that
+does only the bit operations, and that program labels every trace the
+formula is checked on (as monitors are synthesized once and then run, after
+Havelund and Roşu, "Synthesizing Monitors for Safety Properties", TACAS 2002).
 """
 
 from __future__ import annotations
 
+import weakref
+from functools import partial
+from operator import and_
 from typing import Callable, Iterable
 
 from .lexer import Logic
@@ -112,42 +120,25 @@ def _bits(positions: list[int]) -> int:
     return int.from_bytes(buffer, "little")
 
 
-# ------------------------------------------------------------- labelling
+# ------------------------------------------------------------- programs
 
 
 class _Labeller:
-    """Labels the formulas of one logic over one trace.
+    """The trace that programs label, as the bit sets they read.
 
     A label is the bit set of the positions where a formula holds.  Bit ``k``
     stands for position ``k``, except under PLDLf, where it stands for
-    position ``k - 1``.  With ``logic`` None the labeller takes propositional
-    step formulas only, one bit per step.
+    position ``k - 1``.  With ``logic`` None there is one bit per step, the
+    positions of the propositional formulas that ``props`` labels.
     """
 
     def __init__(self, atom_masks: dict[str, int], n: int, logic: Logic | None):
         self.atom_masks = atom_masks
         self.n = n
         self.steps = (1 << n) - 1
-        dynamic = logic in (Logic.LDLF, Logic.PLDLF)
+        dynamic = logic in _DYNAMIC
         self.full = (1 << n + 1) - 1 if dynamic else self.steps
-        self.rules, self.refusal = _RULES[logic]
-        self.forward = logic is not Logic.PLDLF
         self.props = _Labeller(atom_masks, n, None) if dynamic else self
-
-    def label(self, f: Node) -> int:
-        # operands are labelled here, so each nesting level costs one frame
-        cls = type(f)
-        rule = self.rules.get(cls)
-        if rule is None:
-            raise TypeError(f"{self.refusal}: {f!r}")
-        shape = cls.__base__
-        if shape is Binary:
-            return rule(self, self.label(f.left), self.label(f.right))
-        if shape is Unary:
-            return rule(self, self.label(f.arg))
-        if shape is Modal:
-            return rule(self, self.pre(f.regex), self.label(f.arg))
-        return rule(self, f)
 
     def since(self, a: int, b: int) -> int:
         """``a S b``: adding ``b`` to ``u = a | b`` sends a carry up each run
@@ -167,84 +158,141 @@ class _Labeller:
     def always(self, a: int) -> int:
         return self.full & ~((1 << (self.full & ~a).bit_length()) - 1)
 
-    def pre(self, r: Node) -> Callable[[int], int]:
-        """The predecessor transformer of ``r``: from a set of positions to
-        the positions where some path of ``r`` starts and ends inside it.
 
-        Steps and tests are labelled here, once, so the rounds of a star's
-        fixpoint are bit operations only.
-        """
-        cls = type(r)
-        if cls is RegexProp:
-            steps = self.props.label(r.prop)
-            if self.forward:  # step i moves from position i to i + 1
-                return lambda target: steps & (target >> 1)
-            steps <<= 1  # step i sits at the bit of position i and moves to i - 1
-            return lambda target: steps & (target << 1)
-        if cls is RegexTest:
-            holds = self.label(r.arg)
-            return lambda target: target & holds
-        if cls is RegexConcat:
-            first, then = self.pre(r.left), self.pre(r.right)
-            return lambda target: first(then(target))
-        if cls is RegexUnion:
-            left, right = self.pre(r.left), self.pre(r.right)
-            return lambda target: left(target) | right(target)
-        if cls is RegexStar:
-            step = self.pre(r.arg)
+_DYNAMIC = frozenset((Logic.LDLF, Logic.PLDLF))
 
-            def star(target: int) -> int:
-                while True:
-                    grown = target | step(target)
-                    if grown == target:
-                        return target
-                    target = grown
-
-            return star
-        raise TypeError(f"not a regular-expression node: {r!r}")
+# A program labels one formula: it maps a labeller to the formula's label.
+_Program = Callable[[_Labeller], int]
+# A transformer program maps a labeller to the predecessor transformer of one
+# regex: from a set of positions to the positions where some path of the
+# regex starts and ends inside it.
+_Transformer = Callable[[_Labeller], Callable[[int], int]]
 
 
-# A rule gets the labeller and, by the shape its node's class derives from: a
-# leaf, the node itself; a unary or binary node, the labels of its operands; a
-# modality, the transformer of its regex and the label of its argument.
+def _compile(f: Node, logic: Logic | None) -> _Program:
+    """The program of ``f`` under ``logic``, which type-checks every node.
+
+    Operands are compiled here, so each nesting level costs one frame.
+    """
+    cls = type(f)
+    builders, refusal = _RULES[logic]
+    build = builders.get(cls)
+    if build is None:
+        raise TypeError(f"{refusal}: {f!r}")
+    shape = cls.__base__
+    if shape is Binary:
+        return build(_compile(f.left, logic), _compile(f.right, logic))
+    if shape is Unary:
+        return build(_compile(f.arg, logic))
+    if shape is Modal:
+        return build(_transformer(f.regex, logic), _compile(f.arg, logic))
+    return build(f)
+
+
+def _transformer(r: Node, logic: Logic) -> _Transformer:
+    """The transformer program of ``r``, which type-checks every node.
+
+    Steps and tests are labelled when the transformer is built, once a
+    trace, so the rounds of a star's fixpoint are bit operations only.  A
+    transformer is a partial application of ``and_`` or of one of the
+    functions below, whose function and arguments say what it does.
+    """
+    cls = type(r)
+    if cls is RegexProp:
+        steps = _compile(r.prop, None)
+        if logic is not Logic.PLDLF:  # step i moves from position i to i + 1
+            return lambda s: partial(_forward, steps(s.props))
+        # step i sits at the bit of position i and moves to i - 1
+        return lambda s: partial(_backward, steps(s.props) << 1)
+    if cls is RegexTest:
+        holds = _compile(r.arg, logic)
+        return lambda s: partial(and_, holds(s))
+    if cls is RegexConcat:
+        first, then = _transformer(r.left, logic), _transformer(r.right, logic)
+        return lambda s: partial(_concat, first(s), then(s))
+    if cls is RegexUnion:
+        left, right = _transformer(r.left, logic), _transformer(r.right, logic)
+        return lambda s: partial(_union, left(s), right(s))
+    if cls is RegexStar:
+        step = _transformer(r.arg, logic)
+        return lambda s: partial(_star, step(s))
+    raise TypeError(f"not a regular-expression node: {r!r}")
+
+
+# the functions of the transformers, each partially applied to its parts
+_forward = lambda steps, target: steps & (target >> 1)
+_backward = lambda steps, target: steps & (target << 1)
+_concat = lambda first, then, target: first(then(target))
+_union = lambda left, right, target: left(target) | right(target)
+
+
+def _star(step: Callable[[int], int], target: int) -> int:
+    while True:
+        grown = target | step(target)
+        if grown == target:
+            return target
+        target = grown
+
+
+def _shared(program: _Program) -> Callable[[Node], _Program]:
+    """The builder of a leaf whose every node runs ``program``."""
+    return lambda f: program
+
+
+# the atoms of one name share one program while some program runs it
+_ATOMS: weakref.WeakValueDictionary[str, _Program] = weakref.WeakValueDictionary()
+
+
+def _atom(f: Atom) -> _Program:
+    name = f.name
+    program = _ATOMS.get(name)
+    if program is None:
+        program = _ATOMS[name] = lambda s: s.atom_masks.get(name, 0)
+    return program
+
+
+# A builder gets, by the shape its node's class derives from: a leaf, the
+# node itself; a unary or binary node, the programs of its operands; a
+# modality, the transformer program of its regex and the program of its
+# argument.  It returns the node's program, which reads no node.
 _BOOLEAN = {
-    Not: lambda s, a: s.full & ~a,
-    And: lambda s, a, b: a & b,
-    Or: lambda s, a, b: a | b,
-    Implies: lambda s, a, b: (s.full & ~a) | b,
-    Equiv: lambda s, a, b: s.full & ~(a ^ b),
-    Xor: lambda s, a, b: a ^ b,
+    Not: lambda a: lambda s: s.full & ~a(s),
+    And: lambda a, b: lambda s: a(s) & b(s),
+    Or: lambda a, b: lambda s: a(s) | b(s),
+    Implies: lambda a, b: lambda s: (s.full & ~a(s)) | b(s),
+    Equiv: lambda a, b: lambda s: s.full & ~(a(s) ^ b(s)),
+    Xor: lambda a, b: lambda s: a(s) ^ b(s),
 }
 _PROPOSITIONAL = {
-    Atom: lambda s, f: s.atom_masks.get(f.name, 0),
-    TrueConst: lambda s, f: s.steps,
-    FalseConst: lambda s, f: 0,
+    Atom: _atom,
+    TrueConst: _shared(lambda s: s.steps),
+    FalseConst: _shared(lambda s: 0),
     **_BOOLEAN,
 }
 _CONSTANTS = {
-    Tautology: lambda s, f: s.full,
-    Contradiction: lambda s, f: 0,
+    Tautology: _shared(lambda s: s.full),
+    Contradiction: _shared(lambda s: 0),
 }
-_DIAMOND = lambda s, pre, a: pre(a)
-_BOX = lambda s, pre, a: s.full & ~pre(s.full & ~a)
+_DIAMOND = lambda r, a: lambda s: r(s)(a(s))
+_BOX = lambda r, a: lambda s: s.full & ~r(s)(s.full & ~a(s))
 
-# the rules each logic admits, and how it refuses any other node
+# the builders each logic admits, and how it refuses any other node
 _RULES = {
     None: (_PROPOSITIONAL, "not a propositional formula"),
     Logic.LTLF: (
         {
             **_PROPOSITIONAL,
             **_CONSTANTS,
-            Last: lambda s, f: 1 << s.n - 1,
-            End: lambda s, f: 0,
-            WeakNext: lambda s, a: (a >> 1) | 1 << s.n - 1,
-            StrongNext: lambda s, a: a >> 1,
-            Until: _Labeller.until,
-            WeakUntil: lambda s, a, b: s.until(a, b) | s.always(a),
-            Release: lambda s, a, b: s.until(b, a & b) | s.always(b),
-            StrongRelease: lambda s, a, b: s.until(b, a & b),
-            Eventually: lambda s, a: (1 << a.bit_length()) - 1,
-            Always: _Labeller.always,
+            Last: _shared(lambda s: 1 << s.n - 1),
+            End: _shared(lambda s: 0),
+            WeakNext: lambda a: lambda s: (a(s) >> 1) | 1 << s.n - 1,
+            StrongNext: lambda a: lambda s: a(s) >> 1,
+            Until: lambda a, b: lambda s: s.until(a(s), b(s)),
+            WeakUntil: lambda a, b: lambda s: s.until(x := a(s), b(s)) | s.always(x),
+            Release: lambda a, b: lambda s: s.until(y := b(s), a(s) & y) | s.always(y),
+            StrongRelease: lambda a, b: lambda s: s.until(y := b(s), a(s) & y),
+            Eventually: lambda a: lambda s: (1 << a(s).bit_length()) - 1,
+            Always: lambda a: lambda s: s.always(a(s)),
         },
         "not an LTLf formula",
     ),
@@ -252,12 +300,12 @@ _RULES = {
         {
             **_PROPOSITIONAL,
             **_CONSTANTS,
-            First: lambda s, f: 1,
-            Start: lambda s, f: 0,
-            Before: lambda s, a: (a << 1) & s.full,
-            Since: _Labeller.since,
-            Once: lambda s, a: s.since(s.full, a),
-            Historically: lambda s, a: s.full & ~s.since(s.full, s.full & ~a),
+            First: _shared(lambda s: 1),
+            Start: _shared(lambda s: 0),
+            Before: lambda a: lambda s: (a(s) << 1) & s.full,
+            Since: lambda a, b: lambda s: s.since(a(s), b(s)),
+            Once: lambda a: lambda s: s.since(s.full, a(s)),
+            Historically: lambda a: lambda s: s.full & ~s.since(s.full, s.full & ~a(s)),
         },
         "not a PLTLf formula",
     ),
@@ -272,12 +320,34 @@ _RULES = {
 }
 
 
+# each formula's program per logic, keyed by the formula's identity (hashing
+# a tree would walk all of it, which costs about as much as labelling it),
+# with a weak reference to the formula whose collection drops the entry
+_PROGRAMS: dict[tuple[int, Logic | None], tuple[weakref.KeyedRef, _Program]] = {}
+
+
+def _forget(ref: weakref.KeyedRef) -> None:
+    _PROGRAMS.pop(ref.key, None)
+
+
+def _program(node: Node, logic: Logic | None) -> _Program:
+    """The program of ``node`` under ``logic``, compiled on first use and
+    kept while ``node`` lives; a node that fails to compile raises each time."""
+    key = (id(node), logic)
+    entry = _PROGRAMS.get(key)
+    if entry is not None and entry[0]() is node:
+        return entry[1]
+    program = _compile(node, logic)
+    _PROGRAMS[key] = (weakref.KeyedRef(node, _forget, key), program)
+    return program
+
+
 # ------------------------------------------------------------ evaluation
 
 
 def eval_prop(node: Node, step: Iterable[str]) -> bool:
     """Evaluate a purely propositional formula against one step."""
-    return _Labeller(Trace([step]).atom_masks, 1, None).label(node) == 1
+    return _program(node, None)(_Labeller(Trace([step]).atom_masks, 1, None)) == 1
 
 
 # each logic's name and the bounds of its positions on a trace of n steps,
@@ -290,6 +360,8 @@ _POSITIONS = {
 }
 
 
+_PAST = frozenset((Logic.PLTLF, Logic.PLDLF))
+
 # the last label computed, with strong references to what it was computed for
 _last: tuple = (None, None, None, 0)
 
@@ -299,7 +371,7 @@ def _evaluate(node: Node, trace: Trace, logic: Logic, position: int) -> bool:
     asking about every position of one trace in turn labels only once."""
     global _last
     name, low, high = _POSITIONS[logic]
-    n = len(trace)
+    n = len(trace.steps)
     if n + high < low:
         raise EmptyTraceError(f"{name} formulas have no value on the empty trace")
     if not low <= position <= n + high:
@@ -308,9 +380,14 @@ def _evaluate(node: Node, trace: Trace, logic: Logic, position: int) -> bool:
         )
     last = _last
     if not (last[0] is node and last[1] is trace and last[2] is logic):
-        label = _Labeller(trace.atom_masks, n, logic).label(node)
+        label = _program(node, logic)(_Labeller(trace.atom_masks, n, logic))
         last = _last = (node, trace, logic, label)
     return bool(last[3] >> (position - low) & 1)
+
+
+# the members, bound once: on Python 3.11, whose EnumType defines __getattr__,
+# reading one off the class costs several times a module-level name
+_LTLF, _PLTLF, _LDLF, _PLDLF = Logic.LTLF, Logic.PLTLF, Logic.LDLF, Logic.PLDLF
 
 
 def eval_ltlf(node: Node, trace: Trace, position: int) -> bool:
@@ -318,12 +395,12 @@ def eval_ltlf(node: Node, trace: Trace, position: int) -> bool:
 
     The empty trace has no positions and raises :class:`EmptyTraceError`.
     """
-    return _evaluate(node, trace, Logic.LTLF, position)
+    return _evaluate(node, trace, _LTLF, position)
 
 
 def eval_pltlf(node: Node, trace: Trace, position: int) -> bool:
     """Evaluate a PLTLf formula at ``position``; past operators look toward 0."""
-    return _evaluate(node, trace, Logic.PLTLF, position)
+    return _evaluate(node, trace, _PLTLF, position)
 
 
 def eval_ldlf(node: Node, trace: Trace, position: int) -> bool:
@@ -332,7 +409,7 @@ def eval_ldlf(node: Node, trace: Trace, position: int) -> bool:
     The position just past the last step is legal: ``tt`` still holds there,
     while any diamond that needs to move does not.
     """
-    return _evaluate(node, trace, Logic.LDLF, position)
+    return _evaluate(node, trace, _LDLF, position)
 
 
 def eval_pldlf(node: Node, trace: Trace, position: int) -> bool:
@@ -341,7 +418,7 @@ def eval_pldlf(node: Node, trace: Trace, position: int) -> bool:
     The position just before the first step is legal, mirroring LDLf's
     position past the end.
     """
-    return _evaluate(node, trace, Logic.PLDLF, position)
+    return _evaluate(node, trace, _PLDLF, position)
 
 
 def regex_reach(
@@ -362,7 +439,7 @@ def regex_reach(
     forward = direction == "forward"
     low = 0 if forward else -1  # the position of bit 0
     logic = Logic.LDLF if forward else Logic.PLDLF
-    pre = _Labeller(trace.atom_masks, n, logic).pre(regex)
+    pre = _transformer(regex, logic)(_Labeller(trace.atom_masks, n, logic))
     pairs: set[tuple[int, int]] = set()
     for j in range(n + 1):
         sources = pre(1 << j)
@@ -379,5 +456,4 @@ def satisfies(node: Node, trace: Trace, logic: Logic) -> bool:
     """
     if not isinstance(logic, Logic):
         raise ValueError(f"unknown logic: {logic!r}")
-    past = logic in (Logic.PLTLF, Logic.PLDLF)
-    return _evaluate(node, trace, logic, len(trace) - 1 if past else 0)
+    return _evaluate(node, trace, logic, len(trace.steps) - 1 if logic in _PAST else 0)

@@ -4,8 +4,11 @@ type checks it makes on every node."""
 
 from __future__ import annotations
 
+import copy
+import gc
 import random
 import time
+import weakref
 
 import pytest
 
@@ -20,6 +23,7 @@ from tracelang import (
     FalseConst,
     Historically,
     Logic,
+    Not,
     Once,
     Or,
     RegexProp,
@@ -215,3 +219,73 @@ def test_every_node_is_type_checked(node, trace, logic, message):
 def test_eval_prop_checks_every_node():
     with pytest.raises(TypeError, match="not a propositional formula"):
         eval_prop(Or(TrueConst(), Eventually(p)), {"p"})
+
+
+# ------------------------------------------------------------ compiling once
+
+
+@pytest.fixture
+def compiled(monkeypatch):
+    """Every (node, logic) that ``_compile`` is called on, operands included."""
+    calls = []
+    compile_ = semantics._compile
+
+    def counting(node, logic):
+        calls.append((node, logic))
+        return compile_(node, logic)
+
+    monkeypatch.setattr(semantics, "_compile", counting)
+    return calls
+
+
+def test_one_formula_on_many_traces_compiles_once(compiled):
+    f = parse("G(p -> F q) & (p U q)", Logic.LTLF)
+    traces = list(all_traces(range(1, 4)))
+    verdicts = [satisfies(f, trace, Logic.LTLF) for trace in traces]
+    assert [logic for node, logic in compiled if node is f] == [Logic.LTLF]
+    assert verdicts == [evaluate(f, trace, Logic.LTLF, 0) for trace in traces]
+
+
+def test_one_node_under_two_logics_gets_two_programs(compiled):
+    f = And(p, Not(q))
+    trace = Trace([{"p"}, set()])
+    for _ in range(3):
+        assert satisfies(f, trace, Logic.LTLF) is True
+        assert satisfies(f, trace, Logic.PLTLF) is False
+    assert [logic for node, logic in compiled if node is f] == [Logic.LTLF, Logic.PLTLF]
+
+
+def test_a_foreign_node_raises_the_same_error_on_every_call():
+    f = And(p, Since(p, q))
+    trace = Trace([{"p"}])
+    for _ in range(3):
+        with pytest.raises(TypeError) as error:
+            satisfies(f, trace, Logic.LTLF)
+        assert str(error.value) == f"not an LTLf formula: {Since(p, q)!r}"
+        # the same node compiles under the logic it belongs to
+        assert satisfies(f, trace, Logic.PLTLF) is False
+
+
+def test_the_cache_does_not_keep_a_formula_alive():
+    f = parse("p U (q & X r)", Logic.LTLF)
+    trace = Trace([{"p"}, {"q"}, {"r"}])
+    assert satisfies(f, trace, Logic.LTLF) is True
+    key = (id(f), Logic.LTLF)
+    assert key in semantics._PROGRAMS
+    alive = weakref.ref(f)
+    del f
+    satisfies(p, trace, Logic.LTLF)  # the last label no longer holds f
+    gc.collect()
+    assert alive() is None
+    assert key not in semantics._PROGRAMS
+
+
+@pytest.mark.parametrize("logic", list(Logic), ids=lambda logic: logic.value)
+def test_equal_but_distinct_trees_give_the_same_verdicts(logic):
+    rng = random.Random(1808)
+    formulas = [gen_formula(rng, logic, ("p", "q"), depth=3) for _ in range(16)]
+    twins = [copy.deepcopy(f) for f in formulas]
+    assert all(twin == f and twin is not f for f, twin in zip(formulas, twins))
+    for trace in all_traces(range(0 if logic in (Logic.LDLF, Logic.PLDLF) else 1, 4)):
+        for f, twin in zip(formulas, twins):
+            assert satisfies(f, trace, logic) == satisfies(twin, trace, logic), (f, trace.steps)
