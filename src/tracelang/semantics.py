@@ -22,8 +22,6 @@ Havelund and Roşu, "Synthesizing Monitors for Safety Properties", TACAS 2002).
 from __future__ import annotations
 
 import weakref
-from functools import partial
-from operator import and_
 from typing import Callable, Iterable
 
 from .lexer import Logic
@@ -126,19 +124,19 @@ def _bits(positions: list[int]) -> int:
 class _Labeller:
     """The trace that programs label, as the bit sets they read.
 
-    A label is the bit set of the positions where a formula holds.  Bit ``k``
-    stands for position ``k``, except under PLDLf, where it stands for
-    position ``k - 1``.  With ``logic`` None there is one bit per step, the
-    positions of the propositional formulas that ``props`` labels.
+    A label is the bit set of the positions where a formula holds, one bit
+    for each of ``width`` positions.  Bit ``k`` stands for position ``k``,
+    except under PLDLf, where it stands for position ``k - 1``.  The dynamic
+    logics have one position more than the trace has steps; their steps'
+    propositional formulas are labelled by ``props``, with one bit per step.
     """
 
-    def __init__(self, atom_masks: dict[str, int], n: int, logic: Logic | None):
+    def __init__(self, atom_masks: dict[str, int], n: int, width: int):
         self.atom_masks = atom_masks
         self.n = n
         self.steps = (1 << n) - 1
-        dynamic = logic in _DYNAMIC
-        self.full = (1 << n + 1) - 1 if dynamic else self.steps
-        self.props = _Labeller(atom_masks, n, None) if dynamic else self
+        self.full = (1 << width) - 1
+        self.props = _Labeller(atom_masks, n, n) if width > n else self
 
     def since(self, a: int, b: int) -> int:
         """``a S b``: adding ``b`` to ``u = a | b`` sends a carry up each run
@@ -158,8 +156,6 @@ class _Labeller:
     def always(self, a: int) -> int:
         return self.full & ~((1 << (self.full & ~a).bit_length()) - 1)
 
-
-_DYNAMIC = frozenset((Logic.LDLF, Logic.PLDLF))
 
 # A program labels one formula: it maps a labeller to the formula's label.
 _Program = Callable[[_Labeller], int]
@@ -193,45 +189,66 @@ def _transformer(r: Node, logic: Logic) -> _Transformer:
     """The transformer program of ``r``, which type-checks every node.
 
     Steps and tests are labelled when the transformer is built, once a
-    trace, so the rounds of a star's fixpoint are bit operations only.  A
-    transformer is a partial application of ``and_`` or of one of the
-    functions below, whose function and arguments say what it does.
+    trace, so the rounds of a star's fixpoint are bit operations only.
     """
     cls = type(r)
     if cls is RegexProp:
-        steps = _compile(r.prop, None)
-        if logic is not Logic.PLDLF:  # step i moves from position i to i + 1
-            return lambda s: partial(_forward, steps(s.props))
-        # step i sits at the bit of position i and moves to i - 1
-        return lambda s: partial(_backward, steps(s.props) << 1)
+        label = _compile(r.prop, None)
+        if logic is not Logic.PLDLF:
+
+            def forward(s: _Labeller) -> Callable[[int], int]:
+                steps = label(s.props)  # step i moves from position i to i + 1
+                return lambda target: steps & (target >> 1)
+
+            return forward
+
+        def backward(s: _Labeller) -> Callable[[int], int]:
+            # step i sits at the bit of position i and moves to i - 1
+            steps = label(s.props) << 1
+            return lambda target: steps & (target << 1)
+
+        return backward
     if cls is RegexTest:
-        holds = _compile(r.arg, logic)
-        return lambda s: partial(and_, holds(s))
+        label = _compile(r.arg, logic)
+
+        def test(s: _Labeller) -> Callable[[int], int]:
+            holds = label(s)
+            return lambda target: target & holds
+
+        return test
     if cls is RegexConcat:
-        first, then = _transformer(r.left, logic), _transformer(r.right, logic)
-        return lambda s: partial(_concat, first(s), then(s))
+        build_first, build_then = _transformer(r.left, logic), _transformer(r.right, logic)
+
+        def concat(s: _Labeller) -> Callable[[int], int]:
+            first, then = build_first(s), build_then(s)
+            return lambda target: first(then(target))
+
+        return concat
     if cls is RegexUnion:
-        left, right = _transformer(r.left, logic), _transformer(r.right, logic)
-        return lambda s: partial(_union, left(s), right(s))
+        build_left, build_right = _transformer(r.left, logic), _transformer(r.right, logic)
+
+        def union(s: _Labeller) -> Callable[[int], int]:
+            left, right = build_left(s), build_right(s)
+            return lambda target: left(target) | right(target)
+
+        return union
     if cls is RegexStar:
-        step = _transformer(r.arg, logic)
-        return lambda s: partial(_star, step(s))
+        build_step = _transformer(r.arg, logic)
+
+        def star(s: _Labeller) -> Callable[[int], int]:
+            step = build_step(s)
+
+            def fixpoint(target: int) -> int:
+                while True:
+                    grown = target | step(target)
+                    if grown == target:
+                        return target
+                    target = grown
+
+            return fixpoint
+
+        return star
     raise TypeError(f"not a regular-expression node: {r!r}")
-
-
-# the functions of the transformers, each partially applied to its parts
-_forward = lambda steps, target: steps & (target >> 1)
-_backward = lambda steps, target: steps & (target << 1)
-_concat = lambda first, then, target: first(then(target))
-_union = lambda left, right, target: left(target) | right(target)
-
-
-def _star(step: Callable[[int], int], target: int) -> int:
-    while True:
-        grown = target | step(target)
-        if grown == target:
-            return target
-        target = grown
 
 
 def _shared(program: _Program) -> Callable[[Node], _Program]:
@@ -347,20 +364,19 @@ def _program(node: Node, logic: Logic | None) -> _Program:
 
 def eval_prop(node: Node, step: Iterable[str]) -> bool:
     """Evaluate a purely propositional formula against one step."""
-    return _program(node, None)(_Labeller(Trace([step]).atom_masks, 1, None)) == 1
+    return _program(node, None)(_Labeller(Trace([step]).atom_masks, 1, 1)) == 1
 
 
-# each logic's name and the bounds of its positions on a trace of n steps,
-# as offsets from 0 and from n
+# each logic's name, the bounds of its positions on a trace of n steps as
+# offsets from 0 and from n, and whether it looks into the past, so that a
+# whole trace is checked at its last position
 _POSITIONS = {
-    Logic.LTLF: ("LTLf", 0, -1),
-    Logic.PLTLF: ("PLTLf", 0, -1),
-    Logic.LDLF: ("LDLf", 0, 0),
-    Logic.PLDLF: ("PLDLf", -1, -1),
+    Logic.LTLF: ("LTLf", 0, -1, False),
+    Logic.PLTLF: ("PLTLf", 0, -1, True),
+    Logic.LDLF: ("LDLf", 0, 0, False),
+    Logic.PLDLF: ("PLDLf", -1, -1, True),
 }
 
-
-_PAST = frozenset((Logic.PLTLF, Logic.PLDLF))
 
 # the last label computed, with strong references to what it was computed for
 _last: tuple = (None, None, None, 0)
@@ -370,7 +386,7 @@ def _evaluate(node: Node, trace: Trace, logic: Logic, position: int) -> bool:
     """Read one bit of the label of ``node``.  The last label is kept, so
     asking about every position of one trace in turn labels only once."""
     global _last
-    name, low, high = _POSITIONS[logic]
+    name, low, high, _ = _POSITIONS[logic]
     n = len(trace.steps)
     if n + high < low:
         raise EmptyTraceError(f"{name} formulas have no value on the empty trace")
@@ -380,14 +396,9 @@ def _evaluate(node: Node, trace: Trace, logic: Logic, position: int) -> bool:
         )
     last = _last
     if not (last[0] is node and last[1] is trace and last[2] is logic):
-        label = _program(node, logic)(_Labeller(trace.atom_masks, n, logic))
+        label = _program(node, logic)(_Labeller(trace.atom_masks, n, n + high - low + 1))
         last = _last = (node, trace, logic, label)
     return bool(last[3] >> (position - low) & 1)
-
-
-# the members, bound once: on Python 3.11, whose EnumType defines __getattr__,
-# reading one off the class costs several times a module-level name
-_LTLF, _PLTLF, _LDLF, _PLDLF = Logic.LTLF, Logic.PLTLF, Logic.LDLF, Logic.PLDLF
 
 
 def eval_ltlf(node: Node, trace: Trace, position: int) -> bool:
@@ -395,12 +406,12 @@ def eval_ltlf(node: Node, trace: Trace, position: int) -> bool:
 
     The empty trace has no positions and raises :class:`EmptyTraceError`.
     """
-    return _evaluate(node, trace, _LTLF, position)
+    return _evaluate(node, trace, Logic.LTLF, position)
 
 
 def eval_pltlf(node: Node, trace: Trace, position: int) -> bool:
     """Evaluate a PLTLf formula at ``position``; past operators look toward 0."""
-    return _evaluate(node, trace, _PLTLF, position)
+    return _evaluate(node, trace, Logic.PLTLF, position)
 
 
 def eval_ldlf(node: Node, trace: Trace, position: int) -> bool:
@@ -409,7 +420,7 @@ def eval_ldlf(node: Node, trace: Trace, position: int) -> bool:
     The position just past the last step is legal: ``tt`` still holds there,
     while any diamond that needs to move does not.
     """
-    return _evaluate(node, trace, _LDLF, position)
+    return _evaluate(node, trace, Logic.LDLF, position)
 
 
 def eval_pldlf(node: Node, trace: Trace, position: int) -> bool:
@@ -418,7 +429,7 @@ def eval_pldlf(node: Node, trace: Trace, position: int) -> bool:
     The position just before the first step is legal, mirroring LDLf's
     position past the end.
     """
-    return _evaluate(node, trace, _PLDLF, position)
+    return _evaluate(node, trace, Logic.PLDLF, position)
 
 
 def regex_reach(
@@ -439,7 +450,7 @@ def regex_reach(
     forward = direction == "forward"
     low = 0 if forward else -1  # the position of bit 0
     logic = Logic.LDLF if forward else Logic.PLDLF
-    pre = _transformer(regex, logic)(_Labeller(trace.atom_masks, n, logic))
+    pre = _transformer(regex, logic)(_Labeller(trace.atom_masks, n, n + 1))
     pairs: set[tuple[int, int]] = set()
     for j in range(n + 1):
         sources = pre(1 << j)
@@ -456,4 +467,5 @@ def satisfies(node: Node, trace: Trace, logic: Logic) -> bool:
     """
     if not isinstance(logic, Logic):
         raise ValueError(f"unknown logic: {logic!r}")
-    return _evaluate(node, trace, logic, len(trace.steps) - 1 if logic in _PAST else 0)
+    past = _POSITIONS[logic][3]
+    return _evaluate(node, trace, logic, len(trace.steps) - 1 if past else 0)
