@@ -11,7 +11,10 @@ Evaluation labels each subformula once with the set of positions where it
 holds, kept as an ``int`` bit set (path labelling, after Markey and
 Schnoebelen, "Model Checking a Path", CONCUR 2003), and then reads one bit.
 Modalities are predecessor transformers on those sets, ``<r>f = pre_r(S_f)``
-and ``[r]f = not <r> not f`` (De Giacomo and Vardi, IJCAI 2013).
+and ``[r]f = not <r> not f`` (De Giacomo and Vardi, IJCAI 2013).  LTLf and
+LDLf are the time mirrors of PLTLf and PLDLf, so they label the mirrored
+trace: ``U`` is then ``S``, ``F`` is ``O``, ``G`` is ``H`` and ``X[!]`` is
+``Y``, and both dynamic logics take a step with one shift.
 
 A formula is compiled once per logic into a program, a closure per node that
 does only the bit operations, and that program labels every trace the
@@ -100,8 +103,13 @@ class Trace:
                     raise TypeError(f"atom names must be strings, got {atom!r}")
                 where.setdefault(atom, []).append(i)
         object.__setattr__(self, "steps", steps)
-        # bit i of atom_masks[name] is set when the atom holds at step i
-        object.__setattr__(self, "atom_masks", {atom: _bits(at) for atom, at in where.items()})
+        # bit i of an atom's mask is its value at step i, and of its mirror at step n - 1 - i
+        masks = {atom: _bits(at) for atom, at in where.items()}
+        width = f"0{len(steps)}b"
+        object.__setattr__(self, "atom_masks", masks)
+        object.__setattr__(self, "_mirrored_masks", {
+            atom: int(format(mask, width)[::-1], 2) for atom, mask in masks.items()
+        })
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -125,18 +133,16 @@ class _Labeller:
     """The trace that programs label, as the bit sets they read.
 
     A label is the bit set of the positions where a formula holds, one bit
-    for each of ``width`` positions.  Bit ``k`` stands for position ``k``,
-    except under PLDLf, where it stands for position ``k - 1``.  The dynamic
-    logics have one position more than the trace has steps; their steps'
-    propositional formulas are labelled by ``props``, with one bit per step.
+    for each of ``width`` positions, ordered the way the formula looks: bit 0
+    is the far end, the top bit is where a whole trace is checked, and the
+    future logics read the trace's mirrored masks.  The dynamic logics have
+    one position more than the trace has steps.
     """
 
     def __init__(self, atom_masks: dict[str, int], n: int, width: int):
         self.atom_masks = atom_masks
-        self.n = n
         self.steps = (1 << n) - 1
         self.full = (1 << width) - 1
-        self.props = _Labeller(atom_masks, n, n) if width > n else self
 
     def since(self, a: int, b: int) -> int:
         """``a S b``: adding ``b`` to ``u = a | b`` sends a carry up each run
@@ -144,17 +150,9 @@ class _Labeller:
         u = a | b
         return ((u & ~(u + b)) | b) & self.full
 
-    def until(self, a: int, b: int) -> int:
-        """``a U b``: ``a S b`` on the time-reversed masks."""
-        width = f"0{self.n}b"
-
-        def flip(x: int) -> int:
-            return int(format(x, width)[::-1], 2)
-
-        return flip(self.since(flip(a), flip(b)))
-
-    def always(self, a: int) -> int:
-        return self.full & ~((1 << (self.full & ~a).bit_length()) - 1)
+    def historically(self, a: int) -> int:
+        """``H a``: the run of ``a`` from bit 0, which ``a + 1`` carries through."""
+        return a & ~(a + 1)
 
 
 # A program labels one formula: it maps a labeller to the formula's label.
@@ -194,20 +192,14 @@ def _transformer(r: Node, logic: Logic) -> _Transformer:
     cls = type(r)
     if cls is RegexProp:
         label = _compile(r.prop, None)
-        if logic is not Logic.PLDLF:
 
-            def forward(s: _Labeller) -> Callable[[int], int]:
-                steps = label(s.props)  # step i moves from position i to i + 1
-                return lambda target: steps & (target >> 1)
-
-            return forward
-
-        def backward(s: _Labeller) -> Callable[[int], int]:
-            # step i sits at the bit of position i and moves to i - 1
-            steps = label(s.props) << 1
+        def step(s: _Labeller) -> Callable[[int], int]:
+            # shifted up one and cut to the width, a step sits at the bit of
+            # the position it leaves, just above the position it moves to
+            steps = (label(s) << 1) & s.full
             return lambda target: steps & (target << 1)
 
-        return backward
+        return step
     if cls is RegexTest:
         label = _compile(r.arg, logic)
 
@@ -293,6 +285,20 @@ _CONSTANTS = {
 _DIAMOND = lambda r, a: lambda s: r(s)(a(s))
 _BOX = lambda r, a: lambda s: s.full & ~r(s)(s.full & ~a(s))
 
+_PAST = {
+    **_PROPOSITIONAL,
+    **_CONSTANTS,
+    First: _shared(lambda s: 1),
+    Start: _shared(lambda s: 0),
+    Before: lambda a: lambda s: (a(s) << 1) & s.full,
+    Since: lambda a, b: lambda s: s.since(a(s), b(s)),
+    Once: lambda a: lambda s: s.since(s.full, a(s)),
+    Historically: lambda a: lambda s: s.historically(a(s)),
+}
+# the future operators labelled, on the mirrored trace, by their past mirrors' builders
+_MIRRORS = {Until: Since, Eventually: Once, Always: Historically, StrongNext: Before,
+            Last: First, End: Start}
+
 # the builders each logic admits, and how it refuses any other node
 _RULES = {
     None: (_PROPOSITIONAL, "not a propositional formula"),
@@ -300,32 +306,15 @@ _RULES = {
         {
             **_PROPOSITIONAL,
             **_CONSTANTS,
-            Last: _shared(lambda s: 1 << s.n - 1),
-            End: _shared(lambda s: 0),
-            WeakNext: lambda a: lambda s: (a(s) >> 1) | 1 << s.n - 1,
-            StrongNext: lambda a: lambda s: a(s) >> 1,
-            Until: lambda a, b: lambda s: s.until(a(s), b(s)),
-            WeakUntil: lambda a, b: lambda s: s.until(x := a(s), b(s)) | s.always(x),
-            Release: lambda a, b: lambda s: s.until(y := b(s), a(s) & y) | s.always(y),
-            StrongRelease: lambda a, b: lambda s: s.until(y := b(s), a(s) & y),
-            Eventually: lambda a: lambda s: (1 << a(s).bit_length()) - 1,
-            Always: lambda a: lambda s: s.always(a(s)),
+            **{future: _PAST[past] for future, past in _MIRRORS.items()},
+            WeakNext: lambda a: lambda s: ((a(s) << 1) | 1) & s.full,
+            WeakUntil: lambda a, b: lambda s: s.since(x := a(s), b(s)) | s.historically(x),
+            Release: lambda a, b: lambda s: s.since(y := b(s), a(s) & y) | s.historically(y),
+            StrongRelease: lambda a, b: lambda s: s.since(y := b(s), a(s) & y),
         },
         "not an LTLf formula",
     ),
-    Logic.PLTLF: (
-        {
-            **_PROPOSITIONAL,
-            **_CONSTANTS,
-            First: _shared(lambda s: 1),
-            Start: _shared(lambda s: 0),
-            Before: lambda a: lambda s: (a(s) << 1) & s.full,
-            Since: lambda a, b: lambda s: s.since(a(s), b(s)),
-            Once: lambda a: lambda s: s.since(s.full, a(s)),
-            Historically: lambda a: lambda s: s.full & ~s.since(s.full, s.full & ~a(s)),
-        },
-        "not a PLTLf formula",
-    ),
+    Logic.PLTLF: (_PAST, "not a PLTLf formula"),
     Logic.LDLF: (
         {**_BOOLEAN, **_CONSTANTS, Diamond: _DIAMOND, Box: _BOX},
         "not an LDLf formula at formula level",
@@ -368,14 +357,31 @@ def eval_prop(node: Node, step: Iterable[str]) -> bool:
 
 
 # each logic's name, the bounds of its positions on a trace of n steps as
-# offsets from 0 and from n, and whether it looks into the past, so that a
-# whole trace is checked at its last position
+# offsets from 0 and from n, and whether it looks into the past
 _POSITIONS = {
     Logic.LTLF: ("LTLf", 0, -1, False),
     Logic.PLTLF: ("PLTLf", 0, -1, True),
     Logic.LDLF: ("LDLf", 0, 0, False),
     Logic.PLDLF: ("PLDLf", -1, -1, True),
 }
+
+
+def _labeller(trace: Trace, logic: Logic) -> _Labeller:
+    """The labeller of ``trace`` under ``logic``, one bit for each position."""
+    _, low, high, past = _POSITIONS[logic]
+    n = len(trace.steps)
+    return _Labeller(trace.atom_masks if past else trace._mirrored_masks, n, n + high - low + 1)
+
+
+def _bit(logic: Logic, n: int, position: int) -> int:
+    """The bit of ``position`` under ``logic`` on a trace of ``n`` steps, counted
+    from the far end of the way the logic looks; a position it lacks raises."""
+    name, low, high, past = _POSITIONS[logic]
+    if n + high < low:
+        raise EmptyTraceError(f"{name} formulas have no value on the empty trace")
+    if not low <= position <= n + high:
+        raise PositionOutOfRangeError(f"position {position} outside [{low}, {n + high}]")
+    return position - low if past else n + high - position
 
 
 # the last label computed, with strong references to what it was computed for
@@ -386,19 +392,12 @@ def _evaluate(node: Node, trace: Trace, logic: Logic, position: int) -> bool:
     """Read one bit of the label of ``node``.  The last label is kept, so
     asking about every position of one trace in turn labels only once."""
     global _last
-    name, low, high, _ = _POSITIONS[logic]
-    n = len(trace.steps)
-    if n + high < low:
-        raise EmptyTraceError(f"{name} formulas have no value on the empty trace")
-    if not low <= position <= n + high:
-        raise PositionOutOfRangeError(
-            f"position {position} outside [{low}, {n + high}]"
-        )
+    bit = _bit(logic, len(trace.steps), position)
     last = _last
     if not (last[0] is node and last[1] is trace and last[2] is logic):
-        label = _program(node, logic)(_Labeller(trace.atom_masks, n, n + high - low + 1))
+        label = _program(node, logic)(_labeller(trace, logic))
         last = _last = (node, trace, logic, label)
-    return bool(last[3] >> (position - low) & 1)
+    return bool(last[3] >> bit & 1)
 
 
 def eval_ltlf(node: Node, trace: Trace, position: int) -> bool:
@@ -446,15 +445,15 @@ def regex_reach(
     """
     if direction not in ("forward", "backward"):
         raise ValueError(f"direction must be 'forward' or 'backward', got {direction!r}")
+    logic = Logic.LDLF if direction == "forward" else Logic.PLDLF
     n = len(trace)
-    forward = direction == "forward"
-    low = 0 if forward else -1  # the position of bit 0
-    logic = Logic.LDLF if forward else Logic.PLDLF
-    pre = _transformer(regex, logic)(_Labeller(trace.atom_masks, n, n + 1))
+    pre = _transformer(regex, logic)(_labeller(trace, logic))
+    _, low, high, _ = _POSITIONS[logic]
+    at = {_bit(logic, n, i): i for i in range(low, n + high + 1)}  # bit -> position
     pairs: set[tuple[int, int]] = set()
-    for j in range(n + 1):
-        sources = pre(1 << j)
-        pairs.update((i + low, j + low) for i in range(n + 1) if sources >> i & 1)
+    for k, j in at.items():
+        sources = pre(1 << k)
+        pairs.update((i, j) for b, i in at.items() if sources >> b & 1)
     return frozenset(pairs)
 
 

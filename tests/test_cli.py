@@ -177,6 +177,23 @@ def test_eval_empty_trace_depends_on_the_logic(capsys, tmp_path):
     assert (code, out) == (0, "sat\n")
 
 
+@pytest.mark.parametrize(
+    "logic, text, steps, expected",
+    [
+        # <a>tt holds iff a is at the first step, <<a>>tt iff a is at the last
+        ("ldlf", "<a>tt", [["a"], [], []], (0, "sat\n")),
+        ("ldlf", "<a>tt", [[], [], ["a"]], (1, "unsat\n")),
+        ("pldlf", "<<a>>tt", [[], [], ["a"]], (0, "sat\n")),
+        ("pldlf", "<<a>>tt", [["a"], [], []], (1, "unsat\n")),
+    ],
+)
+def test_eval_anchors_the_dynamic_logics(capsys, tmp_path, logic, text, steps, expected):
+    code, out, _ = run(capsys, "eval", "--logic", logic,
+                       "--trace", trace_file(tmp_path, steps),
+                       formula_file(tmp_path, text))
+    assert (code, out) == expected
+
+
 def test_eval_rejects_malformed_traces(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     for content in ['{"not": "a trace"}', "[[1]]", "not json", '["p"]']:
