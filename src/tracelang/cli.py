@@ -60,6 +60,8 @@ def _load_trace(path: str) -> Trace:
 
 
 _MANIFEST_LOGICS = {logic.value for logic in Logic}
+# the optional string field each expectation allows
+_EXPECT_FIELDS = {"ok": "canonical", "error": "error_contains"}
 
 
 def _load_manifest(path: str) -> list[tuple[int, dict]]:
@@ -90,26 +92,20 @@ def _validate_case(number: int, case: object) -> dict:
         raise _CliError(
             f"manifest line {number}: missing fields {sorted(missing)}"
         )
-    if case["logic"] not in _MANIFEST_LOGICS:
+    if not isinstance(case["logic"], str) or case["logic"] not in _MANIFEST_LOGICS:
         raise _CliError(
             f"manifest line {number}: unknown logic {case['logic']!r}"
         )
     if not isinstance(case["input"], str):
         raise _CliError(f"manifest line {number}: 'input' must be a string")
-    if case["expect"] == "ok":
-        allowed = {"logic", "input", "expect", "canonical"}
-        if "canonical" in case and not isinstance(case["canonical"], str):
-            raise _CliError(f"manifest line {number}: 'canonical' must be a string")
-    elif case["expect"] == "error":
-        allowed = {"logic", "input", "expect", "error_contains"}
-        if "error_contains" in case and not isinstance(case["error_contains"], str):
-            raise _CliError(
-                f"manifest line {number}: 'error_contains' must be a string"
-            )
-    else:
+    optional = _EXPECT_FIELDS.get(case["expect"]) if isinstance(case["expect"], str) else None
+    if optional is None:
         raise _CliError(
             f"manifest line {number}: 'expect' must be 'ok' or 'error'"
         )
+    if optional in case and not isinstance(case[optional], str):
+        raise _CliError(f"manifest line {number}: {optional!r} must be a string")
+    allowed = {"logic", "input", "expect", optional}
     unknown = case.keys() - allowed
     if unknown:
         raise _CliError(
@@ -245,10 +241,7 @@ def main(argv: list[str] | None = None) -> int:
     except (LexError, ParseError) as error:
         print(error, file=sys.stderr)
         return 1
-    except EmptyTraceError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    except _CliError as error:
+    except (EmptyTraceError, _CliError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
 

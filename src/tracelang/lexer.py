@@ -9,8 +9,9 @@ diamonds under LDLf, and ``<->`` an equivalence arrow everywhere.
 from __future__ import annotations
 
 import enum
+import functools
 import re
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 
 class Logic(enum.Enum):
@@ -220,9 +221,12 @@ def is_input_char(c: str) -> bool:
     return c in "\t\n\r" or 0x20 <= ord(c) <= 0x7E
 
 
-def _scanner(logic: Logic) -> re.Pattern:
-    """One pattern that reads the whitespace before a token and the token.
+@functools.cache
+def _scanner(logic: Logic) -> tuple[Callable[[str], list[tuple[str, str, str]]], dict]:
+    """The logic's scanner, built on first use, and its spellings and words to
+    their kinds; an inactive word maps to None.
 
+    The scanner's pattern reads the whitespace before a token and the token.
     Group 1 is the whitespace, group 2 an active token, group 3 a lexeme that
     must be rejected; at the end of the text only group 1 can be non-empty.
     Active spellings come before inactive ones, each in ``_SYMBOL_OPS`` order,
@@ -232,14 +236,17 @@ def _scanner(logic: Logic) -> re.Pattern:
     whitespace, so a match takes time linear in its length.
     """
     active = ACTIVE_KINDS[logic]
-    on = "".join(c for c, kind in _LETTER_KEYWORDS.items() if kind in active)
-    off = "".join(c for c, kind in _LETTER_KEYWORDS.items() if kind not in active)
-    token = [re.escape(s) for s, kind in _SYMBOL_OPS if kind in active]
-    reject = [re.escape(s) for s, kind in _SYMBOL_OPS if kind not in active]
+    letters = {c: kind for c, kind in _LETTER_KEYWORDS.items() if kind in active}
+    symbols = {s: kind for s, kind in _SYMBOL_OPS if kind in active}
+    on = "".join(letters)
+    off = "".join(c for c in _LETTER_KEYWORDS if c not in letters)
+    token = [re.escape(s) for s in symbols]
+    reject = [re.escape(s) for s, _ in _SYMBOL_OPS if s not in symbols]
     if "X" in on:  # "X[" commits to "X[!]", with no interior whitespace
         on = on.replace("X", "")
         token += [r"X\[!\]", r"X(?!\[)"]
         reject.append(r"X\[")
+        symbols["X[!]"] = _K.STRONG_NEXT
     token += [f"[{on}]"] if on else []
     reject += [f"[{off}]"] if off else []
     # a quoted atom holds printable ASCII other than its own quote; a quote
@@ -247,22 +254,9 @@ def _scanner(logic: Logic) -> re.Pattern:
     # tab or a line break
     token += ["[a-z_][a-z0-9_]*", '"[ !#-~]*"', "'[ -&(-~]*'"]
     reject += ['"[ !#-~]*[^\t\n\r]?', "'[ -&(-~]*[^\t\n\r]?", "[^ \t\n\r]"]
-    return re.compile(f"([ \t\n\r]*)(?:({'|'.join(token)})|({'|'.join(reject)})|\\Z)")
-
-
-# each logic's scanner, and its spellings and words to their kinds; an
-# inactive word maps to None
-_SCANNERS = {
-    logic: (
-        _scanner(logic).findall,
-        {
-            **{w: kind if kind in active else None for w, kind in _WORD_KEYWORDS.items()},
-            **{c: kind for c, kind in _LETTER_KEYWORDS.items() if kind in active},
-            **{s: kind for s, kind in (*_SYMBOL_OPS, ("X[!]", _K.STRONG_NEXT)) if kind in active},
-        },
-    )
-    for logic, active in ACTIVE_KINDS.items()
-}
+    pattern = re.compile(f"([ \t\n\r]*)(?:({'|'.join(token)})|({'|'.join(reject)})|\\Z)")
+    words = {w: kind if kind in active else None for w, kind in _WORD_KEYWORDS.items()}
+    return pattern.findall, {**words, **letters, **symbols}
 
 
 def _rejection(lexeme: str, logic: Logic, line: int, column: int) -> LexError:
@@ -309,7 +303,7 @@ def tokenize(text: str, logic: Logic) -> list[Token]:
     insignificant; joining the returned lexemes with the original whitespace
     reconstructs the input exactly.
     """
-    findall, kinds = _SCANNERS[logic]
+    findall, kinds = _scanner(logic)
     atom, tokens = _K.ATOM, []
     append, make = tokens.append, tuple.__new__  # a Token without its Python __new__
     line = column = 1

@@ -13,7 +13,7 @@ import enum
 
 from .formulas import Atom, Node, RegexProp, RegexTest
 from .lexer import KEYWORDS, REGEX_KINDS, _NAME_CONT, _NAME_START, is_input_char
-from .parser import OPERATORS, PRECEDENCE, Assoc
+from .parser import OPERATORS, _ASSOC, _ROW, Assoc
 
 
 class Style(enum.Enum):
@@ -25,22 +25,17 @@ class UnprintableAtomError(ValueError):
     """The atom's name fits in neither quoting style."""
 
 
-# binding strength and grouping: the row of the one precedence order
-_PLACE: dict[type, tuple[int, Assoc]] = {
-    cls: (index, level.assoc)
-    for index, level in enumerate(PRECEDENCE)
-    for cls, op in OPERATORS.items()
-    if op.kind in level.kinds
-}
 # each layer's node classes, formulas and regular expressions, with their
-# spelling and row; leaves and steps have no row
-_ROLES = {cls: (op.spelling, *_PLACE.get(cls, (None, None))) for cls, op in OPERATORS.items()}
+# spelling, and the parser's row and grouping for their token; leaves and
+# steps have no row
+_ROLES = {cls: (op.spelling, _ROW.get(op.kind), _ASSOC.get(op.kind))
+          for cls, op in OPERATORS.items()}
 _REGEX = {cls: role for cls, role in _ROLES.items()
           if cls is RegexProp or OPERATORS[cls].kind in REGEX_KINDS}
 _FORMULA = {Atom: (None, None, None), **{c: r for c, r in _ROLES.items() if c not in _REGEX}}
 # bound once, as reading a member off the enum class is slow in a hot path
 _LEFT, _RIGHT, _PREFIX, _MODALITY = Assoc.LEFT, Assoc.RIGHT, Assoc.PREFIX, Assoc.MODALITY
-_INFIX_LEVEL = {cls: level for cls, (level, assoc) in _PLACE.items() if assoc in (_LEFT, _RIGHT)}
+_INFIX_LEVEL = {cls: level for cls, (_, level, assoc) in _ROLES.items() if assoc in (_LEFT, _RIGHT)}
 
 
 def _atom_text(atom: Atom) -> str:

@@ -248,16 +248,9 @@ def _shared(program: _Program) -> Callable[[Node], _Program]:
     return lambda f: program
 
 
-# the atoms of one name share one program while some program runs it
-_ATOMS: weakref.WeakValueDictionary[str, _Program] = weakref.WeakValueDictionary()
-
-
 def _atom(f: Atom) -> _Program:
     name = f.name
-    program = _ATOMS.get(name)
-    if program is None:
-        program = _ATOMS[name] = lambda s: s.atom_masks.get(name, 0)
-    return program
+    return lambda s: s.atom_masks.get(name, 0)
 
 
 # A builder gets, by the shape its node's class derives from: a leaf, the

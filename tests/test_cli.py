@@ -133,6 +133,11 @@ def test_ast_matches_the_library_serialiser(capsys, tmp_path):
     assert json.loads(out) == formula_to_dict(parse_ldlf(text))
 
 
+def test_the_serialiser_refuses_what_is_not_a_node():
+    with pytest.raises(TypeError, match="^cannot serialise 'a'$"):
+        formula_to_dict("a")
+
+
 def test_weak_and_strong_next_serialise_differently(capsys, tmp_path):
     _, weak, _ = run(capsys, "ast", "--logic", "ltlf",
                      formula_file(tmp_path, "X a"))
@@ -204,6 +209,13 @@ def test_eval_rejects_malformed_traces(capsys, tmp_path):
         assert err.startswith("error: ")
 
 
+def test_eval_refuses_a_missing_trace_file(capsys, tmp_path):
+    code, out, err = run(capsys, "eval", "--logic", "ltlf",
+                         "--trace", str(tmp_path / "absent.json"), formula_file(tmp_path, "p"))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot read trace file ")
+
+
 # -------------------------------------------------------------- conformance
 
 
@@ -244,6 +256,16 @@ def test_conformance_reports_failures(capsys, tmp_path):
     assert "canonical mismatch" in lines[0]
 
 
+def test_conformance_shows_why_an_expected_formula_was_rejected(capsys, tmp_path):
+    path = manifest_file(tmp_path, [{"logic": "ltlf", "input": "a &)", "expect": "ok"}])
+    code, out, _ = run(capsys, "conformance", path)
+    assert code == 1
+    assert out.splitlines() == [
+        "FAIL  ltlf  \"a &)\"  (rejected: 1:4: expected a formula, found ')')",
+        "PASS 0/1",
+    ]
+
+
 def test_conformance_blank_lines_are_skipped(capsys, tmp_path):
     path = tmp_path / "cases.jsonl"
     path.write_text(
@@ -265,6 +287,13 @@ def test_conformance_blank_lines_are_skipped(capsys, tmp_path):
      "unknown fields"),
     ({"logic": "ltlf", "input": "a", "expect": "ok", "canonical": 7},
      "'canonical' must be a string"),
+    (["ltlf", "a", "ok"], "expected a JSON object"),
+    ({"logic": "ltlf", "input": "a", "expect": "error", "error_contains": 7},
+     "'error_contains' must be a string"),
+    # a logic or an expectation that JSON gives as an array or an object
+    ({"logic": ["ltlf"], "input": "a", "expect": "ok"}, "unknown logic ['ltlf']"),
+    ({"logic": {"ltlf": 1}, "input": "a", "expect": "ok"}, "unknown logic {'ltlf': 1}"),
+    ({"logic": "ltlf", "input": "a", "expect": ["ok"]}, "'expect' must be"),
 ])
 def test_conformance_rejects_malformed_manifests(capsys, tmp_path, case, needle):
     path = manifest_file(tmp_path, [case])
@@ -348,6 +377,18 @@ def test_the_command_line_starts_without_dataclasses_or_inspect():
         capture_output=True, env=env, timeout=60, check=True,
     )
     assert probe.stdout.strip() == b"[]"
+
+
+def test_a_process_builds_only_the_scanners_it_uses():
+    env = dict(os.environ, PYTHONPATH=str(Path(tracelang.__file__).parents[1]))
+    probe = subprocess.run(
+        [sys.executable, "-c",
+         "import tracelang; cached = tracelang.lexer._scanner.cache_info; "
+         "print(cached().currsize); tracelang.parse('<a>tt', tracelang.Logic.LDLF); "
+         "tracelang.parse('<a ; b>tt', tracelang.Logic.LDLF); print(cached().currsize)"],
+        capture_output=True, env=env, timeout=60, check=True,
+    )
+    assert probe.stdout.split() == [b"0", b"1"]
 
 
 # ------------------------------------------ undecodable and too-deep files

@@ -99,6 +99,13 @@ def test_very_deep_input_is_refused_inside_the_input(logic, name):
     assert error.found == text[error.column - 1 : error.column - 1 + len(error.found)]
 
 
+@pytest.mark.parametrize("logic", list(BRACKETS), ids=str)
+def test_a_modality_one_level_too_deep_is_refused_at_its_opener(logic):
+    opener, closer = BRACKETS[logic]
+    error = refusal("!" * (MAX_DEPTH - 1) + f"{opener}a{closer}tt", logic)
+    assert (error.line, error.column, error.found) == (1, MAX_DEPTH, opener)
+
+
 @pytest.mark.parametrize("command, logic, name, count", [
     ("check", Logic.LTLF, "parentheses", DEEP),
     ("fmt", Logic.PLTLF, "left chain", DEEP),

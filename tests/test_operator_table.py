@@ -14,7 +14,7 @@ import pytest
 from tracelang import formulas
 from tracelang.formulas import Atom, Node
 from tracelang.lexer import ACTIVE_KINDS, Logic, tokenize
-from tracelang.parser import OPERATORS, TABLES
+from tracelang.parser import OPERATORS, TABLES, table_for
 
 # Each logic's rows, loosest-binding first: grouping and canonical spellings.
 PINNED_ROWS = {
@@ -107,3 +107,8 @@ def test_each_logics_rows_are_pinned(logic):
         for level in TABLES[logic]
     ]
     assert rows == PINNED_ROWS[logic]
+
+
+@pytest.mark.parametrize("logic", list(Logic), ids=str)
+def test_table_for_gives_the_logics_table(logic):
+    assert table_for(logic) is TABLES[logic]

@@ -285,6 +285,11 @@ def test_reach_direction_validation():
 # ------------------------------------------------------------------- errors
 
 
+def test_satisfies_takes_a_logic_not_its_name():
+    with pytest.raises(ValueError, match="^unknown logic: 'ltlf'$"):
+        satisfies(p, T({"p"}), "ltlf")
+
+
 def test_empty_trace_handling():
     for evaluate in (eval_ltlf, eval_pltlf):
         with pytest.raises(EmptyTraceError):
