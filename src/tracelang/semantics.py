@@ -11,7 +11,10 @@ Evaluation labels each subformula once with the set of positions where it
 holds, kept as an ``int`` bit set (path labelling, after Markey and
 Schnoebelen, "Model Checking a Path", CONCUR 2003), and then reads one bit.
 Modalities are predecessor transformers on those sets, ``<r>f = pre_r(S_f)``
-and ``[r]f = not <r> not f`` (De Giacomo and Vardi, IJCAI 2013).  LTLf and
+and ``[r]f = not <r> not f`` (De Giacomo and Vardi, IJCAI 2013).  A star
+of a guarded shift, a body that takes one step at a time such as ``p*``,
+``(φ?;p)*`` or ``(a+b)*``, costs one carry, as ``S`` does; the other shapes,
+such as ``(a;b)*``, repeat their body until its set stops growing.  LTLf and
 LDLf are the time mirrors of PLTLf and PLDLf, so they label the mirrored
 trace: ``U`` is then ``S``, ``F`` is ``O``, ``G`` is ``H`` and ``X[!]`` is
 ``Y``, and both dynamic logics take a step with one shift.
@@ -157,10 +160,56 @@ class _Labeller:
 
 # A program labels one formula: it maps a labeller to the formula's label.
 _Program = Callable[[_Labeller], int]
-# A transformer program maps a labeller to the predecessor transformer of one
-# regex: from a set of positions to the positions where some path of the
-# regex starts and ends inside it.
-_Transformer = Callable[[_Labeller], Callable[[int], int]]
+# The predecessor transformer of a regex on a trace maps a set of positions to
+# those where some path of the regex starts and ends inside it.  Where no path
+# takes two steps in a row it is a pair ``(H, G)`` for ``T -> (T & H) | (G &
+# (T << 1))``: a test is a filter ``(H, 0)``, a step a guarded shift ``(0, G)``.
+# Any other is a function.  A transformer program builds it from a labeller.
+_Pre = tuple[int, int] | Callable[[int], int]
+_Transformer = Callable[[_Labeller], _Pre]
+
+
+def _apply(pre: _Pre, target: int) -> int:
+    """The positions from which ``pre`` reaches ``target``."""
+    if type(pre) is tuple:
+        keep, guard = pre
+        return (target & keep) | (guard & (target << 1))
+    return pre(target)
+
+
+def _concat(first: _Pre, then: _Pre) -> _Pre:
+    """The transformer of ``first`` followed by ``then``."""
+    if type(first) is tuple and type(then) is tuple:
+        (h1, g1), (h2, g2) = first, then
+        if not g1 & (g2 << 1):  # on this trace no step of first leads to one of then
+            return h1 & h2, (h1 & g2) | (g1 & (h2 << 1))
+    return lambda target: _apply(first, _apply(then, target))
+
+
+def _union(left: _Pre, right: _Pre) -> _Pre:
+    """The transformer of ``left`` or ``right``."""
+    if type(left) is tuple and type(right) is tuple:
+        return left[0] | right[0], left[1] | right[1]
+    return lambda target: _apply(left, target) | _apply(right, target)
+
+
+def _star(s: _Labeller, body: _Pre) -> _Pre:
+    """The transformer of ``body`` repeated any number of times on ``s``."""
+    if type(body) is tuple:
+        # the filter part only keeps what is already there; the steps carry
+        # up each run of the guard, as ``S`` does, and without steps a star
+        # is the identity
+        guard = body[1]
+        return (lambda target: s.since(guard, target)) if guard else (s.full, 0)
+
+    def fixpoint(target: int) -> int:
+        while True:
+            grown = target | body(target)
+            if grown == target:
+                return target
+            target = grown
+
+    return fixpoint
 
 
 def _compile(f: Node, logic: Logic | None) -> _Program:
@@ -186,60 +235,27 @@ def _compile(f: Node, logic: Logic | None) -> _Program:
 def _transformer(r: Node, logic: Logic) -> _Transformer:
     """The transformer program of ``r``, which type-checks every node.
 
-    Steps and tests are labelled when the transformer is built, once a
-    trace, so the rounds of a star's fixpoint are bit operations only.
+    It builds the transformer once a trace, from the labels of the regex's
+    steps and tests, so that applying it does bit operations only.
     """
     cls = type(r)
     if cls is RegexProp:
         label = _compile(r.prop, None)
-
-        def step(s: _Labeller) -> Callable[[int], int]:
-            # shifted up one and cut to the width, a step sits at the bit of
-            # the position it leaves, just above the position it moves to
-            steps = (label(s) << 1) & s.full
-            return lambda target: steps & (target << 1)
-
-        return step
+        # shifted up one and cut to the width, a step sits at the bit of the
+        # position it leaves, just above the position it moves to
+        return lambda s: (0, (label(s) << 1) & s.full)
     if cls is RegexTest:
         label = _compile(r.arg, logic)
-
-        def test(s: _Labeller) -> Callable[[int], int]:
-            holds = label(s)
-            return lambda target: target & holds
-
-        return test
-    if cls is RegexConcat:
-        build_first, build_then = _transformer(r.left, logic), _transformer(r.right, logic)
-
-        def concat(s: _Labeller) -> Callable[[int], int]:
-            first, then = build_first(s), build_then(s)
-            return lambda target: first(then(target))
-
-        return concat
-    if cls is RegexUnion:
-        build_left, build_right = _transformer(r.left, logic), _transformer(r.right, logic)
-
-        def union(s: _Labeller) -> Callable[[int], int]:
-            left, right = build_left(s), build_right(s)
-            return lambda target: left(target) | right(target)
-
-        return union
+        return lambda s: (label(s), 0)
     if cls is RegexStar:
-        build_step = _transformer(r.arg, logic)
-
-        def star(s: _Labeller) -> Callable[[int], int]:
-            step = build_step(s)
-
-            def fixpoint(target: int) -> int:
-                while True:
-                    grown = target | step(target)
-                    if grown == target:
-                        return target
-                    target = grown
-
-            return fixpoint
-
-        return star
+        if type(r.arg) is RegexStar:  # a star of a star is the inner star
+            return _transformer(r.arg, logic)
+        build = _transformer(r.arg, logic)
+        return lambda s: _star(s, build(s))
+    if cls is RegexConcat or cls is RegexUnion:
+        combine = _concat if cls is RegexConcat else _union
+        build_left, build_right = _transformer(r.left, logic), _transformer(r.right, logic)
+        return lambda s: combine(build_left(s), build_right(s))
     raise TypeError(f"not a regular-expression node: {r!r}")
 
 
@@ -256,13 +272,14 @@ def _atom(f: Atom) -> _Program:
 # A builder gets, by the shape its node's class derives from: a leaf, the
 # node itself; a unary or binary node, the programs of its operands; a
 # modality, the transformer program of its regex and the program of its
-# argument.  It returns the node's program, which reads no node.
+# argument.  It returns the node's program, which reads no node.  Every
+# label lies inside ``s.full``, so XOR with it is the complement.
 _BOOLEAN = {
-    Not: lambda a: lambda s: s.full & ~a(s),
+    Not: lambda a: lambda s: s.full ^ a(s),
     And: lambda a, b: lambda s: a(s) & b(s),
     Or: lambda a, b: lambda s: a(s) | b(s),
-    Implies: lambda a, b: lambda s: (s.full & ~a(s)) | b(s),
-    Equiv: lambda a, b: lambda s: s.full & ~(a(s) ^ b(s)),
+    Implies: lambda a, b: lambda s: (s.full ^ a(s)) | b(s),
+    Equiv: lambda a, b: lambda s: s.full ^ a(s) ^ b(s),
     Xor: lambda a, b: lambda s: a(s) ^ b(s),
 }
 _PROPOSITIONAL = {
@@ -275,8 +292,8 @@ _CONSTANTS = {
     Tautology: _shared(lambda s: s.full),
     Contradiction: _shared(lambda s: 0),
 }
-_DIAMOND = lambda r, a: lambda s: r(s)(a(s))
-_BOX = lambda r, a: lambda s: s.full & ~r(s)(s.full & ~a(s))
+_DIAMOND = lambda r, a: lambda s: _apply(r(s), a(s))
+_BOX = lambda r, a: lambda s: s.full ^ _apply(r(s), s.full ^ a(s))
 
 _PAST = {
     **_PROPOSITIONAL,
@@ -366,62 +383,74 @@ def _labeller(trace: Trace, logic: Logic) -> _Labeller:
     return _Labeller(trace.atom_masks if past else trace._mirrored_masks, n, n + high - low + 1)
 
 
-def _bit(logic: Logic, n: int, position: int) -> int:
-    """The bit of ``position`` under ``logic`` on a trace of ``n`` steps, counted
-    from the far end of the way the logic looks; a position it lacks raises."""
-    name, low, high, past = _POSITIONS[logic]
-    if n + high < low:
-        raise EmptyTraceError(f"{name} formulas have no value on the empty trace")
-    if not low <= position <= n + high:
-        raise PositionOutOfRangeError(f"position {position} outside [{low}, {n + high}]")
-    return position - low if past else n + high - position
+# the last label computed, with strong references to what it was computed
+# for, and the highest position it has
+_last: tuple = (None, None, None, 0, 0)
 
 
-# the last label computed, with strong references to what it was computed for
-_last: tuple = (None, None, None, 0)
+def _evaluator(logic: Logic) -> Callable[[Callable], Callable[[Node, Trace, int], bool]]:
+    """A decorator that puts the evaluator of ``logic``, which reads one bit of
+    a node's label, in place of a stub, under the stub's name and docstring.
+    The last label is kept with its highest position, so asking about every
+    position of one trace in turn labels once and reads each bit without a call."""
+    name, low, offset, past = _POSITIONS[logic]
+
+    def evaluate(node: Node, trace: Trace, position: int) -> bool:
+        global _last
+        last_node, last_trace, last_logic, label, high = _last
+        if not (last_node is node and last_trace is trace and last_logic is logic):
+            label, high = None, len(trace.steps) + offset
+        if not low <= position <= high:
+            if high < low:
+                raise EmptyTraceError(f"{name} formulas have no value on the empty trace")
+            raise PositionOutOfRangeError(f"position {position} outside [{low}, {high}]")
+        if label is None:
+            label = _program(node, logic)(_labeller(trace, logic))
+            _last = (node, trace, logic, label, high)
+        # counted from the far end of the way the logic looks
+        return bool(label >> (position - low if past else high - position) & 1)
+
+    def replace(stub: Callable) -> Callable[[Node, Trace, int], bool]:
+        evaluate.__name__ = evaluate.__qualname__ = stub.__name__
+        evaluate.__doc__ = stub.__doc__
+        return evaluate
+
+    return replace
 
 
-def _evaluate(node: Node, trace: Trace, logic: Logic, position: int) -> bool:
-    """Read one bit of the label of ``node``.  The last label is kept, so
-    asking about every position of one trace in turn labels only once."""
-    global _last
-    bit = _bit(logic, len(trace.steps), position)
-    last = _last
-    if not (last[0] is node and last[1] is trace and last[2] is logic):
-        label = _program(node, logic)(_labeller(trace, logic))
-        last = _last = (node, trace, logic, label)
-    return bool(last[3] >> bit & 1)
-
-
+@_evaluator(Logic.LTLF)
 def eval_ltlf(node: Node, trace: Trace, position: int) -> bool:
     """Evaluate an LTLf formula at ``position`` (0-based, inside the trace).
 
     The empty trace has no positions and raises :class:`EmptyTraceError`.
     """
-    return _evaluate(node, trace, Logic.LTLF, position)
 
 
+@_evaluator(Logic.PLTLF)
 def eval_pltlf(node: Node, trace: Trace, position: int) -> bool:
     """Evaluate a PLTLf formula at ``position``; past operators look toward 0."""
-    return _evaluate(node, trace, Logic.PLTLF, position)
 
 
+@_evaluator(Logic.LDLF)
 def eval_ldlf(node: Node, trace: Trace, position: int) -> bool:
     """Evaluate an LDLf formula at ``position`` in ``[0, len(trace)]``.
 
     The position just past the last step is legal: ``tt`` still holds there,
     while any diamond that needs to move does not.
     """
-    return _evaluate(node, trace, Logic.LDLF, position)
 
 
+@_evaluator(Logic.PLDLF)
 def eval_pldlf(node: Node, trace: Trace, position: int) -> bool:
     """Evaluate a PLDLf formula at ``position`` in ``[-1, len(trace) - 1]``.
 
     The position just before the first step is legal, mirroring LDLf's
     position past the end.
     """
-    return _evaluate(node, trace, Logic.PLDLF, position)
+
+
+_EVALUATORS = {Logic.LTLF: eval_ltlf, Logic.PLTLF: eval_pltlf,
+               Logic.LDLF: eval_ldlf, Logic.PLDLF: eval_pldlf}
 
 
 def regex_reach(
@@ -439,14 +468,14 @@ def regex_reach(
     if direction not in ("forward", "backward"):
         raise ValueError(f"direction must be 'forward' or 'backward', got {direction!r}")
     logic = Logic.LDLF if direction == "forward" else Logic.PLDLF
-    n = len(trace)
+    _, low, offset, past = _POSITIONS[logic]
+    high = len(trace.steps) + offset
     pre = _transformer(regex, logic)(_labeller(trace, logic))
-    _, low, high, _ = _POSITIONS[logic]
-    at = {_bit(logic, n, i): i for i in range(low, n + high + 1)}  # bit -> position
+    at = range(low, high + 1) if past else range(high, low - 1, -1)  # bit -> position
     pairs: set[tuple[int, int]] = set()
-    for k, j in at.items():
-        sources = pre(1 << k)
-        pairs.update((i, j) for b, i in at.items() if sources >> b & 1)
+    for k, j in enumerate(at):
+        sources = _apply(pre, 1 << k)
+        pairs.update((i, j) for b, i in enumerate(at) if sources >> b & 1)
     return frozenset(pairs)
 
 
@@ -460,4 +489,4 @@ def satisfies(node: Node, trace: Trace, logic: Logic) -> bool:
     if not isinstance(logic, Logic):
         raise ValueError(f"unknown logic: {logic!r}")
     past = _POSITIONS[logic][3]
-    return _evaluate(node, trace, logic, len(trace.steps) - 1 if past else 0)
+    return _EVALUATORS[logic](node, trace, len(trace.steps) - 1 if past else 0)

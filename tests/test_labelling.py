@@ -19,6 +19,7 @@ from tracelang import (
     Atom,
     Before,
     Diamond,
+    EmptyTraceError,
     Eventually,
     FalseConst,
     Historically,
@@ -26,6 +27,7 @@ from tracelang import (
     Not,
     Once,
     Or,
+    PositionOutOfRangeError,
     RegexProp,
     Release,
     Since,
@@ -179,6 +181,40 @@ def test_one_labelling_serves_every_position_and_only_the_last_is_kept(monkeypat
     # an equal but distinct trace is labelled afresh
     eval_pltlf(f, Trace(trace.steps), 0)
     assert len(built) == 4
+
+
+@pytest.mark.parametrize("logic, text, outside", [
+    (Logic.LTLF, "F q", lambda n: n),
+    (Logic.LDLF, "<true*;q>tt", lambda n: n + 1),
+    (Logic.PLDLF, "<<p>>tt", lambda n: -2),
+], ids=lambda value: value.value if isinstance(value, Logic) else None)
+def test_a_kept_label_still_checks_the_position(monkeypatch, logic, text, outside):
+    built = []
+
+    class Counting(semantics._Labeller):
+        def __init__(self, *args):
+            built.append(args[2])
+            super().__init__(*args)
+
+    monkeypatch.setattr(semantics, "_Labeller", Counting)
+    trace = Trace([{"p"}, {"q"}, set()])
+    f, evaluate_at = parse(text, logic), EVALUATORS[logic]
+    assert evaluate_at(f, trace, 0) is True
+    position = outside(len(trace))
+    with pytest.raises(PositionOutOfRangeError, match=rf"^position {position} outside \["):
+        evaluate_at(f, trace, position)
+    assert evaluate_at(f, trace, 0) is True
+    assert len(built) == 1
+
+
+def test_a_foreign_node_at_a_missing_position_raises_the_position_error():
+    f = Since(p, q)  # not an LTLf formula
+    with pytest.raises(PositionOutOfRangeError, match=r"^position 1 outside \[0, 0\]$"):
+        eval_ltlf(f, Trace([{"p"}]), 1)
+    with pytest.raises(EmptyTraceError, match="^LTLf formulas have no value on the empty trace$"):
+        eval_ltlf(f, Trace(), 0)
+    with pytest.raises(TypeError, match="not an LTLf formula"):
+        eval_ltlf(f, Trace([{"p"}]), 0)
 
 
 def test_atom_masks_do_not_affect_equality():
