@@ -89,28 +89,20 @@ def _validate_case(number: int, case: object) -> dict:
         raise _CliError(f"manifest line {number}: expected a JSON object")
     missing = {"logic", "input", "expect"} - case.keys()
     if missing:
-        raise _CliError(
-            f"manifest line {number}: missing fields {sorted(missing)}"
-        )
+        raise _CliError(f"manifest line {number}: missing fields {sorted(missing)}")
     if not isinstance(case["logic"], str) or case["logic"] not in _MANIFEST_LOGICS:
-        raise _CliError(
-            f"manifest line {number}: unknown logic {case['logic']!r}"
-        )
+        raise _CliError(f"manifest line {number}: unknown logic {case['logic']!r}")
     if not isinstance(case["input"], str):
         raise _CliError(f"manifest line {number}: 'input' must be a string")
     optional = _EXPECT_FIELDS.get(case["expect"]) if isinstance(case["expect"], str) else None
     if optional is None:
-        raise _CliError(
-            f"manifest line {number}: 'expect' must be 'ok' or 'error'"
-        )
+        raise _CliError(f"manifest line {number}: 'expect' must be 'ok' or 'error'")
     if optional in case and not isinstance(case[optional], str):
         raise _CliError(f"manifest line {number}: {optional!r} must be a string")
     allowed = {"logic", "input", "expect", optional}
     unknown = case.keys() - allowed
     if unknown:
-        raise _CliError(
-            f"manifest line {number}: unknown fields {sorted(unknown)}"
-        )
+        raise _CliError(f"manifest line {number}: unknown fields {sorted(unknown)}")
     return case
 
 
@@ -189,9 +181,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
             choices=[logic.value for logic in Logic],
             help="which logic's syntax to use",
         )
-        sub.add_argument(
-            "source", help="path of the formula file, or - to read stdin"
-        )
+        sub.add_argument("source", help="path of the formula file, or - to read stdin")
         return sub
 
     check = formula_command("check", "parse a formula; succeed silently")

@@ -235,6 +235,8 @@ def _scanner(logic: Logic) -> tuple[Callable[[str], list[tuple[str, str, str]]],
     one character class and one alternative always matches after the
     whitespace, so a match takes time linear in its length.
     """
+    if not isinstance(logic, Logic):  # refused here, so a valid logic checks once
+        raise ValueError(f"unknown logic: {logic!r}")
     active = ACTIVE_KINDS[logic]
     letters = {c: kind for c, kind in _LETTER_KEYWORDS.items() if kind in active}
     symbols = {s: kind for s, kind in _SYMBOL_OPS if kind in active}

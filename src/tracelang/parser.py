@@ -175,6 +175,8 @@ TABLES: dict[Logic, tuple[Level, ...]] = {
 
 
 def table_for(logic: Logic) -> tuple[Level, ...]:
+    if not isinstance(logic, Logic):
+        raise ValueError(f"unknown logic: {logic!r}")
     return TABLES[logic]
 
 

@@ -44,24 +44,23 @@ def _atom_text(atom: Atom) -> str:
         if all(c in _NAME_CONT for c in name):
             return name
     if any(c in "\t\n\r" or not is_input_char(c) for c in name):
-        raise UnprintableAtomError(
-            f"atom name {name!r} contains characters that cannot be quoted"
-        )
+        raise UnprintableAtomError(f"atom name {name!r} contains characters that cannot be quoted")
     if '"' not in name:
         return f'"{name}"'
     if "'" not in name:
         return f"'{name}'"
-    raise UnprintableAtomError(
-        f"atom name {name!r} contains both quote characters"
-    )
+    raise UnprintableAtomError(f"atom name {name!r} contains both quote characters")
 
 
 def format_formula(node: Node, style: Style = Style.CANONICAL) -> str:
     """Render ``node`` as formula text.
 
     Raises :class:`UnprintableAtomError` for atom names outside the printable
-    character set or containing both quote characters.
+    character set or containing both quote characters, and ``ValueError`` for
+    a style that is not a :class:`Style`.
     """
+    if not isinstance(style, Style):
+        raise ValueError(f"unknown style: {style!r}")
     return _render(node, style is Style.FULL_PARENS)
 
 

@@ -10,14 +10,15 @@ does not.
 Evaluation labels each subformula once with the set of positions where it
 holds, kept as an ``int`` bit set (path labelling, after Markey and
 Schnoebelen, "Model Checking a Path", CONCUR 2003), and then reads one bit.
-Modalities are predecessor transformers on those sets, ``<r>f = pre_r(S_f)``
-and ``[r]f = not <r> not f`` (De Giacomo and Vardi, IJCAI 2013).  A star
-of a guarded shift, a body that takes one step at a time such as ``p*``,
-``(φ?;p)*`` or ``(a+b)*``, costs one carry, as ``S`` does; the other shapes,
-such as ``(a;b)*``, repeat their body until its set stops growing.  LTLf and
-LDLf are the time mirrors of PLTLf and PLDLf, so they label the mirrored
-trace: ``U`` is then ``S``, ``F`` is ``O``, ``G`` is ``H`` and ``X[!]`` is
-``Y``, and both dynamic logics take a step with one shift.
+Every temporal operator is one shift or one carry, the carry of ``S``; so
+is a star of a guarded shift, a body that takes one step at a time such as
+``p*``, ``(φ?;p)*`` or ``(a+b)*``.  Other stars, such as ``(a;b)*``, repeat
+their body until its set stops growing.  Modalities are predecessor
+transformers on those sets, ``<r>f = pre_r(S_f)`` and ``[r]f = not <r> not
+f`` (De Giacomo and Vardi, IJCAI 2013).  LTLf and LDLf are the time mirrors
+of PLTLf and PLDLf, so they label the mirrored trace: ``U`` is then ``S``,
+``F`` is ``O``, ``G`` is ``H`` and ``X[!]`` is ``Y``, and both dynamic
+logics take a step with one shift.
 
 A formula is compiled once per logic into a program, a closure per node that
 does only the bit operations, and that program labels every trace the
@@ -139,7 +140,8 @@ class _Labeller:
     for each of ``width`` positions, ordered the way the formula looks: bit 0
     is the far end, the top bit is where a whole trace is checked, and the
     future logics read the trace's mirrored masks.  The dynamic logics have
-    one position more than the trace has steps.
+    one position more than the trace has steps.  Every temporal operator is
+    one shift or one ``since`` carry.
     """
 
     def __init__(self, atom_masks: dict[str, int], n: int, width: int):
@@ -149,13 +151,11 @@ class _Labeller:
 
     def since(self, a: int, b: int) -> int:
         """``a S b``: adding ``b`` to ``u = a | b`` sends a carry up each run
-        of ``u`` from its first ``b``; the bits it clears, and ``b``, hold."""
+        of ``u`` from its first ``b``; the bits of ``u`` it clears, and ``b``,
+        hold, inside ``full`` as every caller keeps ``a`` and ``b``.  Seeding
+        ``b`` with ``a & 1`` adds the run of ``a`` from bit 0: ``H a``."""
         u = a | b
-        return ((u & ~(u + b)) | b) & self.full
-
-    def historically(self, a: int) -> int:
-        """``H a``: the run of ``a`` from bit 0, which ``a + 1`` carries through."""
-        return a & ~(a + 1)
+        return (u ^ (u & (u + b))) | b
 
 
 # A program labels one formula: it maps a labeller to the formula's label.
@@ -303,7 +303,7 @@ _PAST = {
     Before: lambda a: lambda s: (a(s) << 1) & s.full,
     Since: lambda a, b: lambda s: s.since(a(s), b(s)),
     Once: lambda a: lambda s: s.since(s.full, a(s)),
-    Historically: lambda a: lambda s: s.historically(a(s)),
+    Historically: lambda a: lambda s: s.since(x := a(s), x & 1),
 }
 # the future operators labelled, on the mirrored trace, by their past mirrors' builders
 _MIRRORS = {Until: Since, Eventually: Once, Always: Historically, StrongNext: Before,
@@ -318,8 +318,8 @@ _RULES = {
             **_CONSTANTS,
             **{future: _PAST[past] for future, past in _MIRRORS.items()},
             WeakNext: lambda a: lambda s: ((a(s) << 1) | 1) & s.full,
-            WeakUntil: lambda a, b: lambda s: s.since(x := a(s), b(s)) | s.historically(x),
-            Release: lambda a, b: lambda s: s.since(y := b(s), a(s) & y) | s.historically(y),
+            WeakUntil: lambda a, b: lambda s: s.since(x := a(s), b(s) | (x & 1)),
+            Release: lambda a, b: lambda s: s.since(y := b(s), y & (a(s) | 1)),
             StrongRelease: lambda a, b: lambda s: s.since(y := b(s), a(s) & y),
         },
         "not an LTLf formula",
@@ -399,6 +399,8 @@ def _evaluator(logic: Logic) -> Callable[[Callable], Callable[[Node, Trace, int]
         global _last
         last_node, last_trace, last_logic, label, high = _last
         if not (last_node is node and last_trace is trace and last_logic is logic):
+            if not isinstance(trace, Trace):
+                raise TypeError(f"{name} is evaluated on a Trace, not a {type(trace).__name__}")
             label, high = None, len(trace.steps) + offset
         if not low <= position <= high:
             if high < low:
@@ -467,6 +469,8 @@ def regex_reach(
     """
     if direction not in ("forward", "backward"):
         raise ValueError(f"direction must be 'forward' or 'backward', got {direction!r}")
+    if not isinstance(trace, Trace):
+        raise TypeError(f"regex_reach reads a Trace, not a {type(trace).__name__}")
     logic = Logic.LDLF if direction == "forward" else Logic.PLDLF
     _, low, offset, past = _POSITIONS[logic]
     high = len(trace.steps) + offset
@@ -489,4 +493,6 @@ def satisfies(node: Node, trace: Trace, logic: Logic) -> bool:
     if not isinstance(logic, Logic):
         raise ValueError(f"unknown logic: {logic!r}")
     past = _POSITIONS[logic][3]
+    if past and not isinstance(trace, Trace):  # the anchor reads it; evaluators check the rest
+        raise TypeError(f"satisfies reads a Trace, not a {type(trace).__name__}")
     return _EVALUATORS[logic](node, trace, len(trace.steps) - 1 if past else 0)

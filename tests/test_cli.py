@@ -457,3 +457,20 @@ def test_a_manifest_line_ends_only_at_a_line_feed(capsys, tmp_path):
     code, out, err = run(capsys, "conformance", str(path))
     assert (code, err) == (0, "")
     assert out.splitlines()[-1] == "PASS 2/2"
+
+
+def test_a_trace_nested_too_deep_is_refused_in_process(capsys, tmp_path):
+    trace = tmp_path / "trace.json"
+    trace.write_bytes(b"[" * 10**5)
+    code, out, err = run(capsys, "eval", "--logic", "ltlf", "--trace", str(trace),
+                         formula_file(tmp_path, "F p"))
+    assert (code, out) == (2, "")
+    assert err == f"error: malformed trace file {trace}: JSON nested too deep\n"
+
+
+def test_a_manifest_line_nested_too_deep_is_refused_in_process(capsys, tmp_path):
+    manifest = tmp_path / "cases.jsonl"
+    manifest.write_bytes(b"[" * 10**5 + b"\n")
+    code, out, err = run(capsys, "conformance", str(manifest))
+    assert (code, out) == (2, "")
+    assert err == "error: manifest line 1: invalid JSON: nested too deep\n"
