@@ -261,11 +261,17 @@ class RegexStar(Unary):
 # ------------------------------------------------------------------ helpers
 
 
+def _values(node: Node) -> Iterator[object]:
+    """The values of ``node``'s fields, in order; a value that is not a node
+    raises ``TypeError``."""
+    if not isinstance(node, Node):
+        raise TypeError(f"not a syntax-tree node: {node!r}")
+    return map(node.__getattribute__, node._fields)
+
+
 def children(node: Node) -> tuple[Node, ...]:
     """Immediate subtrees of ``node``, in field order."""
-    return tuple(
-        value for value in map(node.__getattribute__, node._fields) if isinstance(value, Node)
-    )
+    return tuple(value for value in _values(node) if isinstance(value, Node))
 
 
 def walk(node: Node) -> Iterator[Node]:
@@ -299,10 +305,7 @@ def desugar(node: Node) -> Node:
         return Not(Before(TrueConst()))
     if isinstance(node, Start):
         return Historically(FalseConst())
-    values = [
-        desugar(v) if isinstance(v, Node) else v for v in map(node.__getattribute__, node._fields)
-    ]
-    return type(node)(*values)
+    return type(node)(*(desugar(v) if isinstance(v, Node) else v for v in _values(node)))
 
 
 __all__ = [

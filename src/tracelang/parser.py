@@ -7,7 +7,9 @@ engine reads both layers of the grammar, formulas and the regular expressions
 inside LDLf and PLDLf modalities, in one pass: each regex operand is read
 once, as a propositional step, a formula test or a group.  Its lookups serve
 all four logics, since ``tokenize`` emits only the tokens a logic has.  The
-printer and the JSON serialiser read the same two facts.
+printer and the JSON serialiser read the same two facts, and the evaluator
+reads ``OPERATORS`` with the lexer's ``ACTIVE_KINDS`` to admit, in each
+logic, exactly the node classes that its tokens build.
 """
 
 from __future__ import annotations
@@ -222,9 +224,9 @@ _CLOSER_TEXT = {
 }
 
 # Leaves that settle a regex operand: a step has atoms, `true` and `false`,
-# a test `tt`, `ff` and modalities.  In the linear logics there are no steps.
+# a test `tt`, `ff` and modalities.  A logic without regexes has no steps.
 _STEP_LEAVES = {
-    logic: frozenset({_K.ATOM, _K.TRUE, _K.FALSE} if logic in (Logic.LDLF, Logic.PLDLF) else ())
+    logic: frozenset({_K.ATOM, _K.TRUE, _K.FALSE} if REGEX_KINDS <= ACTIVE_KINDS[logic] else ())
     for logic in Logic
 }
 _TEST_LEAVES = frozenset({_K.TT, _K.FF, *MODAL_NODES})

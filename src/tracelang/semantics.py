@@ -31,7 +31,8 @@ from __future__ import annotations
 import weakref
 from typing import Callable, Iterable
 
-from .lexer import Logic
+from .lexer import ACTIVE_KINDS, Logic, TokenKind
+from .parser import OPERATORS, _STEP_LEAVES
 from .formulas import (
     Always,
     And,
@@ -274,65 +275,55 @@ def _atom(f: Atom) -> _Program:
 # modality, the transformer program of its regex and the program of its
 # argument.  It returns the node's program, which reads no node.  Every
 # label lies inside ``s.full``, so XOR with it is the complement.
-_BOOLEAN = {
+_BUILDERS = {
+    Atom: _atom,
+    TrueConst: _shared(lambda s: s.steps),
+    FalseConst: _shared(lambda s: 0),
+    Tautology: _shared(lambda s: s.full),
+    Contradiction: _shared(lambda s: 0),
     Not: lambda a: lambda s: s.full ^ a(s),
     And: lambda a, b: lambda s: a(s) & b(s),
     Or: lambda a, b: lambda s: a(s) | b(s),
     Implies: lambda a, b: lambda s: (s.full ^ a(s)) | b(s),
     Equiv: lambda a, b: lambda s: s.full ^ a(s) ^ b(s),
     Xor: lambda a, b: lambda s: a(s) ^ b(s),
-}
-_PROPOSITIONAL = {
-    Atom: _atom,
-    TrueConst: _shared(lambda s: s.steps),
-    FalseConst: _shared(lambda s: 0),
-    **_BOOLEAN,
-}
-_CONSTANTS = {
-    Tautology: _shared(lambda s: s.full),
-    Contradiction: _shared(lambda s: 0),
-}
-_DIAMOND = lambda r, a: lambda s: _apply(r(s), a(s))
-_BOX = lambda r, a: lambda s: s.full ^ _apply(r(s), s.full ^ a(s))
-
-_PAST = {
-    **_PROPOSITIONAL,
-    **_CONSTANTS,
     First: _shared(lambda s: 1),
     Start: _shared(lambda s: 0),
     Before: lambda a: lambda s: (a(s) << 1) & s.full,
     Since: lambda a, b: lambda s: s.since(a(s), b(s)),
     Once: lambda a: lambda s: s.since(s.full, a(s)),
     Historically: lambda a: lambda s: s.since(x := a(s), x & 1),
+    WeakNext: lambda a: lambda s: ((a(s) << 1) | 1) & s.full,
+    WeakUntil: lambda a, b: lambda s: s.since(x := a(s), b(s) | (x & 1)),
+    Release: lambda a, b: lambda s: s.since(y := b(s), y & (a(s) | 1)),
+    StrongRelease: lambda a, b: lambda s: s.since(y := b(s), a(s) & y),
+    BackDiamond: lambda r, a: lambda s: _apply(r(s), a(s)),
+    BackBox: lambda r, a: lambda s: s.full ^ _apply(r(s), s.full ^ a(s)),
 }
 # the future operators labelled, on the mirrored trace, by their past mirrors' builders
-_MIRRORS = {Until: Since, Eventually: Once, Always: Historically, StrongNext: Before,
-            Last: First, End: Start}
+_BUILDERS.update({future: _BUILDERS[past] for future, past in (
+    (Until, Since), (Eventually, Once), (Always, Historically), (StrongNext, Before),
+    (Last, First), (End, Start), (Diamond, BackDiamond), (Box, BackBox))})
 
-# the builders each logic admits, and how it refuses any other node
+
+def _rules(kinds: frozenset[TokenKind], refusal: str) -> tuple[dict, str]:
+    """The builders of the node classes that ``kinds`` build, and how any
+    other node is refused."""
+    return {cls: build for cls, build in _BUILDERS.items()
+            if (OPERATORS[cls].kind if cls is not Atom else TokenKind.ATOM) in kinds}, refusal
+
+
+# A logic admits the node classes that its tokens build, less the leaves of
+# the steps inside its regexes.  A step admits the boolean layer that every
+# logic shares, without ``tt`` and ``ff``.
 _RULES = {
-    None: (_PROPOSITIONAL, "not a propositional formula"),
-    Logic.LTLF: (
-        {
-            **_PROPOSITIONAL,
-            **_CONSTANTS,
-            **{future: _PAST[past] for future, past in _MIRRORS.items()},
-            WeakNext: lambda a: lambda s: ((a(s) << 1) | 1) & s.full,
-            WeakUntil: lambda a, b: lambda s: s.since(x := a(s), b(s) | (x & 1)),
-            Release: lambda a, b: lambda s: s.since(y := b(s), y & (a(s) | 1)),
-            StrongRelease: lambda a, b: lambda s: s.since(y := b(s), a(s) & y),
-        },
-        "not an LTLf formula",
-    ),
-    Logic.PLTLF: (_PAST, "not a PLTLf formula"),
-    Logic.LDLF: (
-        {**_BOOLEAN, **_CONSTANTS, Diamond: _DIAMOND, Box: _BOX},
-        "not an LDLf formula at formula level",
-    ),
-    Logic.PLDLF: (
-        {**_BOOLEAN, **_CONSTANTS, BackDiamond: _DIAMOND, BackBox: _BOX},
-        "not a PLDLf formula at formula level",
-    ),
+    None: _rules(frozenset.intersection(*ACTIVE_KINDS.values()) - {TokenKind.TT, TokenKind.FF},
+                 "not a propositional formula"),
+    **{logic: _rules(ACTIVE_KINDS[logic] - _STEP_LEAVES[logic], refusal) for logic, refusal in (
+        (Logic.LTLF, "not an LTLf formula"),
+        (Logic.PLTLF, "not a PLTLf formula"),
+        (Logic.LDLF, "not an LDLf formula at formula level"),
+        (Logic.PLDLF, "not a PLDLf formula at formula level"))},
 }
 
 
@@ -386,13 +377,16 @@ def _labeller(trace: Trace, logic: Logic) -> _Labeller:
 # the last label computed, with strong references to what it was computed
 # for, and the highest position it has
 _last: tuple = (None, None, None, 0, 0)
+# each logic's evaluator, filed by ``_evaluator``
+_EVALUATORS: dict[Logic, Callable[[Node, Trace, int], bool]] = {}
 
 
 def _evaluator(logic: Logic) -> Callable[[Callable], Callable[[Node, Trace, int], bool]]:
     """A decorator that puts the evaluator of ``logic``, which reads one bit of
-    a node's label, in place of a stub, under the stub's name and docstring.
-    The last label is kept with its highest position, so asking about every
-    position of one trace in turn labels once and reads each bit without a call."""
+    a node's label, in place of a stub, under the stub's name and docstring,
+    and files it in ``_EVALUATORS``.  The last label is kept with its highest
+    position, so asking about every position of one trace in turn labels once
+    and reads each bit without a call."""
     name, low, offset, past = _POSITIONS[logic]
 
     def evaluate(node: Node, trace: Trace, position: int) -> bool:
@@ -415,6 +409,7 @@ def _evaluator(logic: Logic) -> Callable[[Callable], Callable[[Node, Trace, int]
     def replace(stub: Callable) -> Callable[[Node, Trace, int], bool]:
         evaluate.__name__ = evaluate.__qualname__ = stub.__name__
         evaluate.__doc__ = stub.__doc__
+        _EVALUATORS[logic] = evaluate
         return evaluate
 
     return replace
@@ -449,10 +444,6 @@ def eval_pldlf(node: Node, trace: Trace, position: int) -> bool:
     The position just before the first step is legal, mirroring LDLf's
     position past the end.
     """
-
-
-_EVALUATORS = {Logic.LTLF: eval_ltlf, Logic.PLTLF: eval_pltlf,
-               Logic.LDLF: eval_ldlf, Logic.PLDLF: eval_pldlf}
 
 
 def regex_reach(

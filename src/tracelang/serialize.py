@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .formulas import Atom, Node, children
+from .formulas import Atom, Node
 from .parser import OPERATORS
 
 
@@ -29,5 +29,5 @@ def formula_to_dict(node: Node) -> dict:
         }
     return {
         "op": op.json,
-        "args": [formula_to_dict(child) for child in children(node)],
+        "args": [formula_to_dict(child) for child in map(node.__getattribute__, cls._fields)],
     }

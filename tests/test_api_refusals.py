@@ -1,6 +1,6 @@
 """Public functions refuse a bad argument with a documented exception type:
 ``ValueError`` for a logic or a style given by name, ``TypeError`` for a
-trace that is not a :class:`Trace`."""
+trace that is not a :class:`Trace` or a tree that is not a node."""
 
 from __future__ import annotations
 
@@ -13,17 +13,22 @@ from tracelang import (
     RegexProp,
     Style,
     Trace,
+    atoms,
+    children,
+    desugar,
     eval_ldlf,
     eval_ltlf,
     eval_pldlf,
     eval_pltlf,
     format_formula,
+    node_count,
     parse,
     parse_ltlf,
     regex_reach,
     satisfies,
     table_for,
     tokenize,
+    walk,
 )
 
 UNKNOWN_LOGIC = "^unknown logic: 'ltlf'$"
@@ -88,3 +93,15 @@ def test_satisfies_refuses_a_trace_that_is_not_a_trace(logic, steps):
 def test_regex_reach_refuses_a_trace_that_is_not_a_trace(direction):
     with pytest.raises(TypeError, match="Trace"):
         regex_reach(RegexProp(Atom("a")), [["a"]], direction)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: children("a"),
+    lambda: list(walk("a")),
+    lambda: atoms("a"),
+    lambda: node_count("a"),
+    lambda: desugar("a"),
+], ids=["children", "walk", "atoms", "node_count", "desugar"])
+def test_the_tree_helpers_refuse_what_is_not_a_node(call):
+    with pytest.raises(TypeError, match="^not a syntax-tree node: 'a'$"):
+        call()

@@ -311,6 +311,20 @@ def test_conformance_rejects_invalid_json_lines(capsys, tmp_path):
     assert "invalid JSON" in err
 
 
+@pytest.mark.parametrize("make", [
+    lambda path: None,
+    lambda path: path.mkdir(),
+    lambda path: path.write_bytes(b"\xff\xfe" + '{"logic": "ltlf"}'.encode("utf-16-le")),
+], ids=["missing", "directory", "not-utf-8"])
+def test_conformance_refuses_an_unreadable_manifest(capsys, tmp_path, make):
+    path = tmp_path / "cases.jsonl"
+    make(path)
+    code, out, err = run(capsys, "conformance", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read manifest {path}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 # -------------------------------------------------------------------- usage
 
 
