@@ -11,7 +11,8 @@ from __future__ import annotations
 import enum
 import functools
 import re
-from typing import Callable, NamedTuple
+from itertools import repeat
+from typing import Callable, NamedTuple, Sequence
 
 
 class Logic(enum.Enum):
@@ -31,6 +32,8 @@ class Logic(enum.Enum):
 
 
 class TokenKind(enum.Enum):
+    __hash__ = object.__hash__  # as Logic's: the parser looks kinds up on every token
+
     # constants and atoms
     TRUE = enum.auto()
     FALSE = enum.auto()
@@ -325,3 +328,26 @@ def tokenize(text: str, logic: Logic) -> list[Token]:
         elif rejected:
             raise _rejection(rejected, logic, line, column)
     return tokens
+
+
+def _scan(text: str, logic: Logic) -> tuple[tuple[str, ...], tuple[str, ...], list]:
+    """``text`` as ``tokenize`` reads it, without positions or tokens: the
+    whitespace before each token, the lexemes and their kinds, where a
+    ``None`` kind marks the end of the text.  A lexical error raises the
+    :class:`LexError` that ``tokenize`` raises."""
+    findall, spellings = _scanner(logic)
+    spaces, lexemes, rejected = zip(*findall(text))
+    kinds = list(map(spellings.get, lexemes, repeat(_K.ATOM)))
+    if None in kinds or any(rejected):
+        tokenize(text, logic)  # raises at the first lexical error, with its position
+    kinds[lexemes.index("")] = None  # trailing whitespace leaves two empty matches
+    return spaces, lexemes, kinds
+
+
+def _position(text: str, spaces: Sequence[str], lexemes: Sequence[str], i: int) -> tuple[int, int]:
+    """The line and column where lexeme ``i`` of a scan starts or, at the
+    end of the text, where the last lexeme ends (``1:1`` if there is none)."""
+    offset = sum(map(len, spaces[:i])) + sum(map(len, lexemes[:i]))
+    if lexemes[i]:
+        offset += len(spaces[i])
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)

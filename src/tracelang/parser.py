@@ -5,8 +5,10 @@ name; ``PRECEDENCE`` orders every operator of the four logics, loosest-binding
 first, and a row's index is its binding strength.  One precedence-climbing
 engine reads both layers of the grammar, formulas and the regular expressions
 inside LDLf and PLDLf modalities, in one pass: each regex operand is read
-once, as a propositional step, a formula test or a group.  Its lookups serve
-all four logics, since ``tokenize`` emits only the tokens a logic has.  The
+once, as a propositional step, a formula test or a group.  It reads the
+kinds and lexemes of one scan of the text (``lexer._scan``), which holds
+only the kinds the logic has, so its lookups serve all four logics; it
+builds no ``Token`` and works out a line and column only for an error.  The
 printer and the JSON serialiser read the same two facts, and the evaluator
 reads ``OPERATORS`` with the lexer's ``ACTIVE_KINDS`` to admit, in each
 logic, exactly the node classes that its tokens build.
@@ -63,7 +65,8 @@ from .lexer import (
     SourceError,
     Token,
     TokenKind,
-    tokenize,
+    _position,
+    _scan,
 )
 
 _K = TokenKind
@@ -257,16 +260,19 @@ class ParseError(SourceError):
 
 
 def _describe(token: Token) -> str:
-    if token.lexeme[:1].isalpha():
-        return f"keyword '{token.lexeme}'"
-    return f"'{token.lexeme}'"
+    return _spelled(token.lexeme)
+
+
+def _spelled(lexeme: str) -> str:
+    return f"keyword '{lexeme}'" if lexeme[:1].isalpha() else f"'{lexeme}'"
 
 
 class _Parser:
     """Precedence climbing over both layers of the grammar, in one pass with
     no rewind: ``climb`` reads the binary and postfix operators of a formula
     (``_FORMULA``) or a regex (``_REGEX``), and every logic uses the same
-    lookups.
+    lookups.  ``i`` indexes the scan's lexemes and kinds, whose ``None`` kind
+    is the end of the text; an error helper takes the index of its token.
 
     ``step`` and ``test`` say which readings of the regex operand being read
     are still open; outside regexes only the test reading, plain formula
@@ -278,79 +284,63 @@ class _Parser:
     """
 
     def __init__(self, text: str, logic: Logic):
-        self.logic = logic
-        self.tokens = tokenize(text, logic)
+        self.logic, self.text = logic, text
+        self.spaces, self.lexemes, self.kinds = _scan(text, logic)
         self.i = 0
-        if self.tokens:
-            tail = self.tokens[-1]
-            self.end_line, self.end_column = tail.line, tail.column + len(tail.lexeme)
-        else:
-            self.end_line, self.end_column = 1, 1
         self.step_leaves = _STEP_LEAVES[logic]
         self.step, self.test = False, True
         self.depth = self.reach = 1
         self.parens = 0
 
-    # ------------------------------------------------------------- stream
-
-    def peek(self) -> Token | None:
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
-
-    def advance(self) -> Token:
-        token = self.tokens[self.i]
-        self.i += 1
-        return token
-
     # ------------------------------------------------------------- errors
+
+    def where(self, i: int) -> tuple[int, int]:
+        return _position(self.text, self.spaces, self.lexemes, i)
 
     def err_end(self, expected: str) -> ParseError:
         return ParseError(
-            ParseErrorKind.UNEXPECTED_END,
-            f"{expected}, but the input ended",
-            self.end_line,
-            self.end_column,
+            ParseErrorKind.UNEXPECTED_END, f"{expected}, but the input ended", *self.where(self.i)
         )
 
-    def err_at(self, token: Token, kind: ParseErrorKind, message: str) -> ParseError:
-        return ParseError(kind, message, token.line, token.column, token.lexeme)
+    def err_operand(self, operator: int, what: str) -> ParseError:
+        return self.err_end(f"expected {what} after {_spelled(self.lexemes[operator])}")
 
-    def err_expected(self, token: Token, what: str) -> ParseError:
+    def err_at(self, i: int, kind: ParseErrorKind, message: str) -> ParseError:
+        return ParseError(kind, message, *self.where(i), self.lexemes[i])
+
+    def err_expected(self, i: int, what: str) -> ParseError:
         return self.err_at(
-            token, ParseErrorKind.UNEXPECTED_TOKEN, f"expected {what}, found '{token.lexeme}'"
+            i, ParseErrorKind.UNEXPECTED_TOKEN, f"expected {what}, found '{self.lexemes[i]}'"
         )
 
-    def too_deep(self, token: Token, what: str = "the formula nests") -> ParseError:
+    def too_deep(self, i: int, what: str = "the formula nests") -> ParseError:
         return self.err_at(
-            token, ParseErrorKind.NESTING_TOO_DEEP, f"{what} deeper than {MAX_DEPTH} levels"
+            i, ParseErrorKind.NESTING_TOO_DEEP, f"{what} deeper than {MAX_DEPTH} levels"
         )
 
-    def open_paren(self, token: Token) -> None:
+    def open_paren(self, i: int) -> None:
         self.parens += 1
         if self.parens > MAX_DEPTH:
-            raise self.too_deep(token, "parentheses nest")
+            raise self.too_deep(i, "parentheses nest")
 
-    def require_operand(self, operator: Token, what: str) -> None:
-        if self.peek() is None:
-            raise self.err_end(f"expected {what} after {_describe(operator)}")
-
-    def expect_closer(self, kind: TokenKind, opener: Token) -> None:
+    def expect_closer(self, kind: TokenKind, opener: int) -> None:
+        found = self.kinds[self.i]
+        if found is kind:
+            self.i += 1
+            return
         text = _CLOSER_TEXT[kind]
-        token = self.peek()
-        where = f"'{opener.lexeme}' at {opener.line}:{opener.column}"
-        if token is None:
+        where = "'%s' at %d:%d" % (self.lexemes[opener], *self.where(opener))
+        if found is None:
             raise ParseError(
                 ParseErrorKind.UNBALANCED_DELIMITER,
                 f"missing '{text}' to match {where}",
-                self.end_line,
-                self.end_column,
+                *self.where(self.i),
             )
-        if token.kind is not kind:
-            raise self.err_at(
-                token,
-                ParseErrorKind.UNBALANCED_DELIMITER,
-                f"expected '{text}' to match {where}, found '{token.lexeme}'",
-            )
-        self.advance()
+        raise self.err_at(
+            self.i,
+            ParseErrorKind.UNBALANCED_DELIMITER,
+            f"expected '{text}' to match {where}, found '{self.lexemes[self.i]}'",
+        )
 
     # ------------------------------------------------------------ climbing
 
@@ -360,30 +350,31 @@ class _Parser:
         ``lhs`` if that has been read."""
         if lhs is None:
             lhs = self.formula_unit() if layer is _FORMULA else self.regex_unit()
+        kinds = self.kinds
         while True:
-            token = self.peek()
-            if token is None:
-                break
-            entry = layer.get(token.kind)
+            entry = layer.get(kinds[self.i])  # None at the end of the text
             if entry is None:
                 break
             level, rhs_level, node = entry
             if level < min_level:
                 break
-            self.advance()
+            i = self.i
+            self.i = i + 1
             if rhs_level is None:
                 if node is RegexTest:
                     raise self.err_at(
-                        token,
+                        i,
                         ParseErrorKind.UNEXPECTED_TOKEN,
                         "the test operator '?' must follow a formula, not a regular expression",
                     )
-            elif layer is _REGEX:
-                self.require_operand(token, "a regular expression")
-            else:
-                self.require_operand(token, "a propositional formula" if self.step else "a formula")
+            elif kinds[i + 1] is None:
+                raise self.err_operand(
+                    i,
+                    "a regular expression" if layer is _REGEX
+                    else "a propositional formula" if self.step else "a formula",
+                )
             if self.reach >= MAX_DEPTH:  # the left operand goes a level down
-                raise self.too_deep(token)
+                raise self.too_deep(i)
             reach = self.reach + 1
             if rhs_level is None:
                 lhs = node(lhs)
@@ -397,80 +388,79 @@ class _Parser:
     # ------------------------------------------------------------ formulas
 
     def formula_unit(self) -> Node:
-        token = self.peek()
+        i = self.i
+        kind = self.kinds[i]
         what = "a propositional formula" if self.step else "a formula"
-        if token is None:
+        if kind is None:
             raise self.err_end(f"expected {what}")
-        kind = token.kind
         if kind in PREFIX_NODES:
-            self.advance()
-            self.require_operand(token, what)
+            self.i = i + 1
+            if self.kinds[i + 1] is None:
+                raise self.err_operand(i, what)
             if self.depth >= MAX_DEPTH:
-                raise self.too_deep(token)
+                raise self.too_deep(i)
             self.depth += 1
             arg = self.climb(_FORMULA, _ROW[kind])
             self.depth -= 1
             return PREFIX_NODES[kind](arg)
         if kind is _LPAREN:
-            self.advance()
-            self.open_paren(token)
+            self.i = i + 1
+            self.open_paren(i)
             inner = self.climb(_FORMULA)
-            self.expect_closer(_RPAREN, token)
+            self.expect_closer(_RPAREN, i)
             self.parens -= 1
             return inner
+        lexeme = self.lexemes[i]
         if kind in self.step_leaves:
             if not self.step:
                 raise self.err_at(
-                    token,
+                    i,
                     ParseErrorKind.ATOM_NOT_ALLOWED_HERE,
-                    f"atom {token.lexeme!r} cannot appear at formula level in "
+                    f"atom {lexeme!r} cannot appear at formula level in "
                     f"{self.logic}; atoms belong inside a modality's regular expression"
                     if kind is _ATOM else
-                    f"propositional constant '{token.lexeme}' cannot appear at formula "
+                    f"propositional constant '{lexeme}' cannot appear at formula "
                     f"level in {self.logic}; use 'tt' or 'ff' here, or move it inside "
                     f"a modality's regular expression",
                 )
             self.test = False
         elif kind in _TEST_LEAVES:
             if not self.test:
-                raise self.err_expected(token, what)
+                raise self.err_expected(i, what)
             self.step = False
         if kind in MODAL_NODES:
-            return self.modality(token)
+            return self.modality(i)
         self.reach = self.depth
         if kind is _ATOM:
-            self.advance()
-            return self.make_atom(token)
+            self.i = i + 1
+            return Atom(lexeme[1:-1], quoted=True) if lexeme[0] in "\"'" else Atom(lexeme)
         if kind in CONST_NODES:
-            self.advance()
+            self.i = i + 1
             return CONST_NODES[kind]()
-        if kind in _FORMULA and token.lexeme[:1].isalpha():
+        if kind in _FORMULA and lexeme[0].isalpha():
             raise self.err_at(
-                token,
+                i,
                 ParseErrorKind.RESERVED_WORD,
-                f"reserved keyword '{token.lexeme}' cannot begin a formula; "
+                f"reserved keyword '{lexeme}' cannot begin a formula; "
                 f"quote it to use it as an atom",
             )
-        raise self.err_expected(token, what)
+        raise self.err_expected(i, what)
 
-    def make_atom(self, token: Token) -> Atom:
-        if token.lexeme[:1] in "\"'":
-            return Atom(token.lexeme[1:-1], quoted=True)
-        return Atom(token.lexeme)
-
-    def modality(self, opener: Token) -> Node:
-        self.advance()
-        ctor, closer = MODAL_NODES[opener.kind]
-        self.require_operand(opener, "a regular expression")
+    def modality(self, opener: int) -> Node:
+        self.i = opener + 1
+        kind = self.kinds[opener]
+        ctor, closer = MODAL_NODES[kind]
+        if self.kinds[self.i] is None:
+            raise self.err_operand(opener, "a regular expression")
         if self.depth >= MAX_DEPTH:
             raise self.too_deep(opener)
         self.depth += 1
         regex = self.climb(_REGEX)
         reach = self.reach
         self.expect_closer(closer, opener)
-        if self.peek() is None:
+        if self.kinds[self.i] is None:
             raise self.err_end(f"expected a formula after '{_CLOSER_TEXT[closer]}'")
-        arg = self.climb(_FORMULA, _ROW[opener.kind])
+        arg = self.climb(_FORMULA, _ROW[kind])
         self.depth -= 1
         self.reach = max(reach, self.reach)
         return ctor(regex, arg)
@@ -487,7 +477,7 @@ class _Parser:
         last open reading fails.
         """
         if self.depth >= MAX_DEPTH:
-            raise self.too_deep(self.peek())  # type: ignore[arg-type]
+            raise self.too_deep(self.i)
         outer = self.step, self.test
         self.step = self.test = True
         self.depth += 1  # the formula of a step or a test is a level down
@@ -505,19 +495,19 @@ class _Parser:
         followed by something other than ')'; otherwise it parenthesises a
         formula, which goes on after the ')'.
         """
-        opener = self.peek()
-        if opener is None or opener.kind is not _LPAREN:
+        opener = self.i
+        if self.kinds[opener] is not _LPAREN:
             return self.climb(_FORMULA), False
-        self.advance()
+        self.i = opener + 1
         self.open_paren(opener)
         inner, closed = self.regex_operand()
-        token = self.peek()
+        kind = self.kinds[self.i]
         if not closed:
-            if token is not None and token.kind is _RPAREN:
-                self.advance()
+            if kind is _RPAREN:
+                self.i += 1
                 self.parens -= 1
                 return self.climb(_FORMULA, 0, inner), False
-            if self.step is (token is not None and token.kind is _TEST):
+            if self.step is (kind is _TEST):
                 # the open reading cannot take the token: the ')' is missing
                 self.expect_closer(_RPAREN, opener)
             inner = self.close_operand(inner)
@@ -532,17 +522,17 @@ class _Parser:
         """A step if that reading is open, else a test, which needs its '?'."""
         if self.step:
             return RegexProp(formula)
-        mark = self.peek()
-        if mark is None:
+        kind = self.kinds[self.i]
+        if kind is None:
             raise self.err_end("expected '?' after a formula used inside a regular expression")
-        if mark.kind is not _TEST:
+        if kind is not _TEST:
             raise self.err_at(
-                mark,
+                self.i,
                 ParseErrorKind.UNEXPECTED_TOKEN,
                 f"a formula used inside a regular expression must be followed "
-                f"by '?', found '{mark.lexeme}'",
+                f"by '?', found '{self.lexemes[self.i]}'",
             )
-        self.advance()
+        self.i += 1
         return RegexTest(formula)
 
 
@@ -552,22 +542,19 @@ def parse(text: str, logic: Logic) -> Node:
     Raises :class:`~tracelang.lexer.LexError` or :class:`ParseError` with a
     1-based position; the whole input must be consumed, and the tree may
     nest at most :data:`MAX_DEPTH` levels deep
-    (:attr:`ParseErrorKind.NESTING_TOO_DEEP`).
+    (:attr:`ParseErrorKind.NESTING_TOO_DEEP`).  A lexical error anywhere in
+    the text is raised before any parse error.
     """
     parser = _Parser(text, logic)
     node = parser.climb(_FORMULA)
-    token = parser.peek()
-    if token is not None:
-        if token.kind in _CLOSER_TEXT:
-            raise parser.err_at(
-                token,
-                ParseErrorKind.UNBALANCED_DELIMITER,
-                f"unmatched '{token.lexeme}'",
-            )
+    i = parser.i
+    kind = parser.kinds[i]
+    if kind is not None:
+        lexeme = parser.lexemes[i]
+        if kind in _CLOSER_TEXT:
+            raise parser.err_at(i, ParseErrorKind.UNBALANCED_DELIMITER, f"unmatched '{lexeme}'")
         raise parser.err_at(
-            token,
-            ParseErrorKind.UNEXPECTED_TOKEN,
-            f"expected end of input, found '{token.lexeme}'",
+            i, ParseErrorKind.UNEXPECTED_TOKEN, f"expected end of input, found '{lexeme}'"
         )
     return node
 
