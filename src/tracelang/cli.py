@@ -10,6 +10,7 @@ stdout.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -28,6 +29,8 @@ class _CliError(Exception):
 def _read_source(path: str) -> str:
     try:
         if path == "-":
+            if sys.stdin is None:  # fd 0 was closed when the interpreter started
+                raise OSError(errno.EBADF, "stdin is closed")
             data = sys.stdin.buffer.read()
         else:
             with open(path, "rb") as handle:
@@ -36,6 +39,13 @@ def _read_source(path: str) -> str:
         raise _CliError(f"cannot read {path}: {error}") from error
     # a byte that is not UTF-8 reads as U+FFFD, which the lexer rejects in place
     return data.decode("utf-8", "replace")
+
+
+def _write(text: str) -> None:
+    """Print ``text`` as a line of output; a closed or unwritable stdout raises ``OSError``."""
+    if sys.stdout is None:  # fd 1 was closed when the interpreter started
+        raise OSError(errno.EBADF, "stdout is closed")
+    print(text, flush=True)  # so a failed write shows up here, not at exit
 
 
 def _load_trace(path: str) -> Trace:
@@ -48,15 +58,14 @@ def _load_trace(path: str) -> Trace:
         raise _CliError(f"malformed trace file {path}: {error}") from error
     except RecursionError as error:
         raise _CliError(f"malformed trace file {path}: JSON nested too deep") from error
-    if not isinstance(data, list) or not all(
-        isinstance(step, list) and all(isinstance(atom, str) for atom in step)
-        for step in data
-    ):
-        raise _CliError(
-            f"malformed trace file {path}: expected a JSON array of arrays of "
-            f"atom-name strings"
-        )
-    return Trace(data)
+    if isinstance(data, list) and all(isinstance(step, list) for step in data):
+        try:
+            return Trace(data)  # which refuses an atom that is not a string
+        except TypeError:
+            pass
+    raise _CliError(
+        f"malformed trace file {path}: expected a JSON array of arrays of atom-name strings"
+    )
 
 
 _MANIFEST_LOGICS = {logic.value for logic in Logic}
@@ -133,13 +142,13 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_fmt(args: argparse.Namespace) -> int:
     node = parse(_read_source(args.source), Logic(args.logic))
-    print(format_formula(node, Style(args.style)))
+    _write(format_formula(node, Style(args.style)))
     return 0
 
 
 def _cmd_ast(args: argparse.Namespace) -> int:
     node = parse(_read_source(args.source), Logic(args.logic))
-    print(json.dumps(formula_to_dict(node), separators=(",", ":")))
+    _write(json.dumps(formula_to_dict(node), separators=(",", ":")))
     return 0
 
 
@@ -147,7 +156,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     node = parse(_read_source(args.source), Logic(args.logic))
     trace = _load_trace(args.trace)
     holds = satisfies(node, trace, Logic(args.logic))
-    print("sat" if holds else "unsat")
+    _write("sat" if holds else "unsat")
     return 0 if holds else 1
 
 
@@ -160,8 +169,8 @@ def _cmd_conformance(args: argparse.Namespace) -> int:
             passed += 1
         tag = "ok  " if success else "FAIL"
         suffix = f"  ({detail})" if detail else ""
-        print(f"{tag}  {case['logic']:<6}{json.dumps(case['input'])}{suffix}")
-    print(f"PASS {passed}/{len(cases)}")
+        _write(f"{tag}  {case['logic']:<6}{json.dumps(case['input'])}{suffix}")
+    _write(f"PASS {passed}/{len(cases)}")
     return 0 if passed == len(cases) else 1
 
 
@@ -220,13 +229,14 @@ def build_arg_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_arg_parser().parse_args(argv)
     try:
-        code = args.func(args)
-        sys.stdout.flush()  # a reader that went away shows up here, not at exit
-        return code
-    except BrokenPipeError:
-        # stdout's reader closed it (``| head``): stop without a traceback, and
-        # send what is still buffered where the interpreter's last flush works
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return args.func(args)
+    except OSError as error:
+        # stdout is closed or unwritable, or its reader went away (``| head``),
+        # which needs no word: stop without a traceback, and send what is still
+        # buffered where the interpreter's last flush works
+        if not isinstance(error, BrokenPipeError):
+            print(f"error: cannot write output: {error}", file=sys.stderr)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
         return 2
     except (LexError, ParseError) as error:
         print(error, file=sys.stderr)

@@ -101,19 +101,24 @@ class Trace:
         for step in filter(str.__instancecheck__, steps):  # the first string, if any
             raise TypeError(f"a step is a collection of atom names, not the string {step!r}")
         steps = tuple(map(frozenset, steps))
-        where: dict[str, list[int]] = {}
+        size = len(steps) // 8 + 1  # at least 1, so every row is true
+        rows: dict[str, bytearray] = {}  # bit i of an atom's row is its value at step i
         for i, step in enumerate(steps):
+            at, bit = i >> 3, 1 << (i & 7)
             for atom in step:
                 if not isinstance(atom, str):
                     raise TypeError(f"atom names must be strings, got {atom!r}")
-                where.setdefault(atom, []).append(i)
+                row = rows.get(atom) or rows.setdefault(atom, bytearray(size))
+                row[at] |= bit
         object.__setattr__(self, "steps", steps)
-        # bit i of an atom's mask is its value at step i, and of its mirror at step n - 1 - i
-        masks = {atom: _bits(at) for atom, at in where.items()}
-        width = f"0{len(steps)}b"
-        object.__setattr__(self, "atom_masks", masks)
+        object.__setattr__(self, "atom_masks", {
+            atom: int.from_bytes(row, "little") for atom, row in rows.items()
+        })
+        # each byte's bits reversed and read big-endian puts step i at bit 8 * size - 1 - i
+        pad = 8 * size - len(steps)
         object.__setattr__(self, "_mirrored_masks", {
-            atom: int(format(mask, width)[::-1], 2) for atom, mask in masks.items()
+            atom: int.from_bytes(row.translate(_REVERSED), "big") >> pad
+            for atom, row in rows.items()
         })
 
     def __len__(self) -> int:
@@ -123,12 +128,7 @@ class Trace:
         return self.steps[index]
 
 
-def _bits(positions: list[int]) -> int:
-    """The bit set of ascending ``positions``, in time linear in the last one."""
-    buffer = bytearray(positions[-1] // 8 + 1)
-    for i in positions:
-        buffer[i >> 3] |= 1 << (i & 7)
-    return int.from_bytes(buffer, "little")
+_REVERSED = bytes(int(f"{byte:08b}"[::-1], 2) for byte in range(256))
 
 
 # ------------------------------------------------------------- programs
