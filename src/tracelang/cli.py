@@ -54,7 +54,7 @@ def _load_trace(path: str) -> Trace:
             data = json.load(handle)
     except OSError as error:
         raise _CliError(f"cannot read trace file {path}: {error}") from error
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
+    except ValueError as error:  # bad UTF-8 or JSON, or an int past Python's digit limit
         raise _CliError(f"malformed trace file {path}: {error}") from error
     except RecursionError as error:
         raise _CliError(f"malformed trace file {path}: JSON nested too deep") from error
@@ -85,7 +85,7 @@ def _load_manifest(path: str) -> list[tuple[int, dict]]:
             continue
         try:
             case = json.loads(line)
-        except json.JSONDecodeError as error:
+        except ValueError as error:  # bad JSON, or an int past Python's digit limit
             raise _CliError(f"manifest line {number}: invalid JSON: {error}") from error
         except RecursionError as error:
             raise _CliError(f"manifest line {number}: invalid JSON: nested too deep") from error

@@ -11,6 +11,11 @@ from typing import Iterator
 
 _set = object.__setattr__  # sets a field past the frozen Node.__setattr__
 
+# The most levels of a syntax tree, and of parentheses in its text; no node is
+# built deeper.  At this limit the parser (up to four frames a level) and each
+# consumer of a tree stay within Python's recursion limit from 100 frames deep.
+MAX_DEPTH = 150
+
 
 class Node:
     """Base class for every formula and regular-expression node.
@@ -21,6 +26,7 @@ class Node:
     """
 
     _fields: tuple[str, ...] = ()
+    depth = 1  # the levels of the tree a node roots: a leaf's, unless ``_over`` sets it
 
     def _key(self) -> tuple:
         return tuple(map(self.__getattribute__, self._fields))
@@ -46,12 +52,26 @@ class Node:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
+def _over(first: Node, second: Node = Node) -> int:  # a lone operand pairs with a leaf
+    """The depth of a node over one operand or two, refused past ``MAX_DEPTH``."""
+    try:
+        one, two = first.depth, second.depth
+    except AttributeError:
+        stranger = second if isinstance(first, Node) else first
+        raise TypeError(f"not a syntax-tree node: {stranger!r}") from None
+    depth = 1 + (one if one > two else two)
+    if depth > MAX_DEPTH:
+        raise ValueError(f"the tree nests deeper than {MAX_DEPTH} levels")
+    return depth
+
+
 # The shapes of the nodes with operands: one, two, or a modality's regex and
 # the formula it leads to.  Each declares its fields and constructor once.
 class Unary(Node):
     _fields = __match_args__ = ("arg",)
 
     def __init__(self, arg: Node) -> None:
+        _set(self, "depth", _over(arg))
         _set(self, "arg", arg)
 
     def _key(self) -> tuple:
@@ -62,6 +82,7 @@ class Binary(Node):
     _fields = __match_args__ = ("left", "right")
 
     def __init__(self, left: Node, right: Node) -> None:
+        _set(self, "depth", _over(left, right))
         _set(self, "left", left)
         _set(self, "right", right)
 
@@ -73,6 +94,7 @@ class Modal(Node):
     _fields = __match_args__ = ("regex", "arg")
 
     def __init__(self, regex: Node, arg: Node) -> None:
+        _set(self, "depth", _over(regex, arg))
         _set(self, "regex", regex)
         _set(self, "arg", arg)
 
@@ -238,6 +260,7 @@ class RegexProp(Node):
     _fields = __match_args__ = ("prop",)
 
     def __init__(self, prop: Node) -> None:
+        _set(self, "depth", _over(prop))
         _set(self, "prop", prop)
 
 
@@ -295,7 +318,8 @@ def desugar(node: Node) -> Node:
 
     ``last`` becomes ``X(false)``, ``end`` becomes ``G(false)``, ``first``
     becomes ``!Y(true)`` and ``start`` becomes ``H(false)``; everything else is
-    rebuilt unchanged.
+    rebuilt unchanged.  A rewrite nests deeper than the leaf it replaces, so
+    it raises ``ValueError`` where that takes the tree past ``MAX_DEPTH``.
     """
     if isinstance(node, Last):
         return WeakNext(FalseConst())

@@ -36,6 +36,7 @@ from .formulas import (
     Historically,
     Implies,
     Last,
+    MAX_DEPTH,
     Node,
     Not,
     Once,
@@ -234,13 +235,6 @@ _STEP_LEAVES = {
 }
 _TEST_LEAVES = frozenset({_K.TT, _K.FF, *MODAL_NODES})
 
-# The most levels a syntax tree may have, and the most parentheses that may
-# nest.  The parser recurses deepest: two frames a parenthesis and up to four
-# a level, against two a level for the printer and the serialiser and one for
-# the evaluator.  At this limit each of them, and ``hash``, runs within
-# Python's default recursion limit when called from a stack 100 frames deep.
-MAX_DEPTH = 150
-
 
 class ParseErrorKind(enum.Enum):
     UNEXPECTED_TOKEN = enum.auto()
@@ -277,10 +271,7 @@ class _Parser:
     ``step`` and ``test`` say which readings of the regex operand being read
     are still open; outside regexes only the test reading, plain formula
     syntax, is.  ``depth`` is the level of the node being read, the root's
-    being 1, ``reach`` the deepest level of the subtree read last, and
-    ``parens`` the number of open parentheses.  A binary or postfix node
-    puts its left operand a level further down, so ``reach`` grows along
-    left-associative chains, which the parser reads in a loop.
+    being 1, and ``parens`` the number of open parentheses.
     """
 
     def __init__(self, text: str, logic: Logic):
@@ -289,7 +280,7 @@ class _Parser:
         self.i = 0
         self.step_leaves = _STEP_LEAVES[logic]
         self.step, self.test = False, True
-        self.depth = self.reach = 1
+        self.depth = 1
         self.parens = 0
 
     # ------------------------------------------------------------- errors
@@ -373,16 +364,14 @@ class _Parser:
                     "a regular expression" if layer is _REGEX
                     else "a propositional formula" if self.step else "a formula",
                 )
-            if self.reach >= MAX_DEPTH:  # the left operand goes a level down
+            if self.depth + lhs.depth > MAX_DEPTH:  # the left operand goes a level down
                 raise self.too_deep(i)
-            reach = self.reach + 1
             if rhs_level is None:
                 lhs = node(lhs)
             else:
                 self.depth += 1
                 lhs = node(lhs, self.climb(layer, rhs_level))
                 self.depth -= 1
-            self.reach = max(reach, self.reach)
         return lhs
 
     # ------------------------------------------------------------ formulas
@@ -430,7 +419,6 @@ class _Parser:
             self.step = False
         if kind in MODAL_NODES:
             return self.modality(i)
-        self.reach = self.depth
         if kind is _ATOM:
             self.i = i + 1
             return Atom(lexeme[1:-1], quoted=True) if lexeme[0] in "\"'" else Atom(lexeme)
@@ -456,13 +444,11 @@ class _Parser:
             raise self.too_deep(opener)
         self.depth += 1
         regex = self.climb(_REGEX)
-        reach = self.reach
         self.expect_closer(closer, opener)
         if self.kinds[self.i] is None:
             raise self.err_end(f"expected a formula after '{_CLOSER_TEXT[closer]}'")
         arg = self.climb(_FORMULA, _ROW[kind])
         self.depth -= 1
-        self.reach = max(reach, self.reach)
         return ctor(regex, arg)
 
     # ---------------------------------------------------- regular expressions

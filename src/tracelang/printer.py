@@ -4,7 +4,7 @@ The canonical style inserts parentheses only where the precedence order
 requires them, writes one canonical spelling per operator (``!``, ``&``, ``|``,
 ``->``, ``<->``, ``^``, ``R``), a single space around binary operators, and
 nothing after prefix operators or inside modal brackets.  Round trip is the
-contract: parsing the output yields the tree that was printed.
+contract for every tree it prints: parsing the output yields that tree.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 """The command line's refusals of bad trace files and of unusable standard streams.
 
-A trace file of the wrong shape gets one message whatever is wrong inside it.
+A trace file of the wrong shape gets one message whatever is wrong inside it,
+and a trace file or manifest line that Python cannot read as JSON another.
 A stdin or stdout that is closed or cannot be written ends in one line on
 stderr and exit 2, never a traceback; a reader that went away (``| head``)
 ends quietly, as ``tests/test_cli.py`` checks.
@@ -39,6 +40,47 @@ def test_each_wrong_shape_gets_the_one_message(capsys, tmp_path, content):
     assert (code, captured.out) == (2, "")
     assert captured.err == (f"error: malformed trace file {trace}: expected a JSON array "
                             f"of arrays of atom-name strings\n")
+
+
+# Python refuses to read an integer of more than 4300 digits, with a plain
+# ValueError that is not a JSONDecodeError
+LONG_INT = "1" * 5000
+
+
+def test_a_trace_file_with_an_integer_too_long_to_read_is_malformed(capsys, tmp_path):
+    trace = tmp_path / "trace.json"
+    trace.write_text(f"[[{LONG_INT}]]")
+    formula = tmp_path / "formula.txt"
+    formula.write_text("F a")
+    code = main(["eval", "--logic", "ltlf", "--trace", str(trace), str(formula)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith(f"error: malformed trace file {trace}: Exceeds the limit")
+    assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("line", [
+    LONG_INT,
+    f'{{"logic": "ltlf", "input": "a", "expect": "ok", "n": {LONG_INT}}}',
+], ids=["bare", "in a case"])
+def test_a_manifest_line_with_an_integer_too_long_to_read_is_invalid(capsys, tmp_path, line):
+    manifest = tmp_path / "cases.jsonl"
+    manifest.write_text('{"logic": "ltlf", "input": "a", "expect": "ok"}\n' + line + "\n")
+    code = main(["conformance", str(manifest)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("error: manifest line 2: invalid JSON: Exceeds the limit")
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_an_integer_too_long_to_read_ends_the_process_in_one_line(tmp_path):
+    trace = tmp_path / "trace.json"
+    trace.write_text(f"[[{LONG_INT}]]")
+    formula = tmp_path / "formula.txt"
+    formula.write_text("F a")
+    code, err = run_with("", "eval", "--logic", "ltlf", "--trace", str(trace), str(formula))
+    assert code == 2
+    assert err.startswith("error: malformed trace file ") and len(err.splitlines()) == 1
 
 
 def run_with(redirect, *argv, stdout=subprocess.DEVNULL):
