@@ -17,7 +17,11 @@ _set = object.__setattr__  # sets a field past the frozen Node.__setattr__
 MAX_DEPTH = 150
 
 
-class Node:
+class _NodeClass(type):
+    depth = property()  # unreadable: a node class is no node, and ``_over`` refuses it
+
+
+class Node(metaclass=_NodeClass):
     """Base class for every formula and regular-expression node.
 
     ``_fields`` names a class's fields in order.  A node is immutable, shows
@@ -52,7 +56,7 @@ class Node:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
-def _over(first: Node, second: Node = Node) -> int:  # a lone operand pairs with a leaf
+def _over(first: Node, second: Node = Node()) -> int:  # a lone operand pairs with a leaf
     """The depth of a node over one operand or two, refused past ``MAX_DEPTH``."""
     try:
         one, two = first.depth, second.depth

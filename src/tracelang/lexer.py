@@ -308,6 +308,13 @@ def tokenize(text: str, logic: Logic) -> list[Token]:
     insignificant; joining the returned lexemes with the original whitespace
     reconstructs the input exactly.
     """
+    try:
+        return _tokenize(text, logic)
+    except SourceError as error:  # re-raised from a frame that holds no scan
+        raise error.with_traceback(None)
+
+
+def _tokenize(text: str, logic: Logic) -> list[Token]:
     findall, kinds = _scanner(logic)
     atom, tokens = _K.ATOM, []
     append, make = tokens.append, tuple.__new__  # a Token without its Python __new__

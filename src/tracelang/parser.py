@@ -531,6 +531,13 @@ def parse(text: str, logic: Logic) -> Node:
     (:attr:`ParseErrorKind.NESTING_TOO_DEEP`).  A lexical error anywhere in
     the text is raised before any parse error.
     """
+    try:
+        return _parse(text, logic)
+    except SourceError as error:  # re-raised from a frame that holds no scan or parser
+        raise error.with_traceback(None)
+
+
+def _parse(text: str, logic: Logic) -> Node:
     parser = _Parser(text, logic)
     node = parser.climb(_FORMULA)
     i = parser.i
