@@ -29,6 +29,8 @@ Havelund and Roşu, "Synthesizing Monitors for Safety Properties", TACAS 2002).
 from __future__ import annotations
 
 import weakref
+from functools import cached_property
+from itertools import compress
 from typing import Callable, Iterable
 
 from .lexer import ACTIVE_KINDS, Logic, TokenKind
@@ -88,19 +90,22 @@ class PositionOutOfRangeError(IndexError):
 class Trace:
     """An immutable finite trace; construct from any iterable of atom-name iterables.
 
-    Like a node, it compares, hashes and shows itself by its fields: ``steps``.
+    It keeps its length and one bit row per atom, all that evaluation reads, and
+    builds ``steps`` from them on first read.  It shows itself by ``steps``, and
+    compares and hashes by its length and ``atom_masks``, as its steps would.
     """
 
     _fields = __match_args__ = ("steps",)
-    _key = Node._key
     __eq__, __hash__, __repr__ = Node.__eq__, Node.__hash__, Node.__repr__
     __setattr__, __delattr__ = Node.__setattr__, Node.__delattr__
+
+    def _key(self) -> tuple:  # what its steps are: its length and its rows
+        return self._length, frozenset(self.atom_masks.items())
 
     def __init__(self, steps: Iterable[Iterable[str]] = ()) -> None:
         steps = tuple(steps)
         for step in filter(str.__instancecheck__, steps):  # the first string, if any
             raise TypeError(f"a step is a collection of atom names, not the string {step!r}")
-        steps = tuple(map(frozenset, steps))
         size = len(steps) // 8 + 1  # at least 1, so every row is true
         rows: dict[str, bytearray] = {}  # bit i of an atom's row is its value at step i
         for i, step in enumerate(steps):
@@ -110,7 +115,7 @@ class Trace:
                     raise TypeError(f"atom names must be strings, got {atom!r}")
                 row = rows.get(atom) or rows.setdefault(atom, bytearray(size))
                 row[at] |= bit
-        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "_length", len(steps))
         object.__setattr__(self, "atom_masks", {
             atom: int.from_bytes(row, "little") for atom, row in rows.items()
         })
@@ -121,8 +126,19 @@ class Trace:
             for atom, row in rows.items()
         })
 
+    @cached_property
+    def steps(self) -> tuple[frozenset[str], ...]:
+        steps: list[list[str]] = [[] for _ in range(self._length)]
+        for atom in sorted(self.atom_masks):  # one order for every trace, so equal steps show alike
+            for step in compress(steps, map("1".__eq__, f"{self.atom_masks[atom]:b}"[::-1])):
+                step.append(atom)
+        return tuple(map(frozenset, steps))
+
+    def __getstate__(self) -> dict:  # a pickle or a copy holds the rows, not the steps
+        return {name: value for name, value in vars(self).items() if name != "steps"}
+
     def __len__(self) -> int:
-        return len(self.steps)
+        return self._length
 
     def __getitem__(self, index: int) -> frozenset[str]:
         return self.steps[index]
@@ -370,7 +386,7 @@ _POSITIONS = {
 def _labeller(trace: Trace, logic: Logic) -> _Labeller:
     """The labeller of ``trace`` under ``logic``, one bit for each position."""
     _, low, high, past = _POSITIONS[logic]
-    n = len(trace.steps)
+    n = trace._length
     return _Labeller(trace.atom_masks if past else trace._mirrored_masks, n, n + high - low + 1)
 
 
@@ -395,7 +411,7 @@ def _evaluator(logic: Logic) -> Callable[[Callable], Callable[[Node, Trace, int]
         if not (last_node is node and last_trace is trace and last_logic is logic):
             if not isinstance(trace, Trace):
                 raise TypeError(f"{name} is evaluated on a Trace, not a {type(trace).__name__}")
-            label, high = None, len(trace.steps) + offset
+            label, high = None, trace._length + offset
         if not low <= position <= high:
             if high < low:
                 raise EmptyTraceError(f"{name} formulas have no value on the empty trace")
@@ -464,7 +480,7 @@ def regex_reach(
         raise TypeError(f"regex_reach reads a Trace, not a {type(trace).__name__}")
     logic = Logic.LDLF if direction == "forward" else Logic.PLDLF
     _, low, offset, past = _POSITIONS[logic]
-    high = len(trace.steps) + offset
+    high = trace._length + offset
     pre = _transformer(regex, logic)(_labeller(trace, logic))
     at = range(low, high + 1) if past else range(high, low - 1, -1)  # bit -> position
     pairs: set[tuple[int, int]] = set()
@@ -486,4 +502,4 @@ def satisfies(node: Node, trace: Trace, logic: Logic) -> bool:
     past = _POSITIONS[logic][3]
     if past and not isinstance(trace, Trace):  # the anchor reads it; evaluators check the rest
         raise TypeError(f"satisfies reads a Trace, not a {type(trace).__name__}")
-    return _EVALUATORS[logic](node, trace, len(trace.steps) - 1 if past else 0)
+    return _EVALUATORS[logic](node, trace, trace._length - 1 if past else 0)
