@@ -64,7 +64,6 @@ from .lexer import (
     REGEX_KINDS,
     Logic,
     SourceError,
-    Token,
     TokenKind,
     _position,
     _scan,
@@ -251,10 +250,6 @@ class ParseError(SourceError):
         super().__init__(message, line, column)
         self.kind = kind
         self.found = found
-
-
-def _describe(token: Token) -> str:
-    return _spelled(token.lexeme)
 
 
 def _spelled(lexeme: str) -> str:

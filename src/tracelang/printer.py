@@ -35,7 +35,6 @@ _REGEX = {cls: role for cls, role in _ROLES.items()
 _FORMULA = {Atom: (None, None, None), **{c: r for c, r in _ROLES.items() if c not in _REGEX}}
 # bound once, as reading a member off the enum class is slow in a hot path
 _LEFT, _RIGHT, _PREFIX, _MODALITY = Assoc.LEFT, Assoc.RIGHT, Assoc.PREFIX, Assoc.MODALITY
-_INFIX_LEVEL = {cls: level for cls, (_, level, assoc) in _ROLES.items() if assoc in (_LEFT, _RIGHT)}
 
 
 def _atom_text(atom: Atom) -> str:
@@ -64,8 +63,9 @@ def format_formula(node: Node, style: Style = Style.CANONICAL) -> str:
     return _render(node, style is Style.FULL_PARENS)
 
 
-def _render(node: Node, full: bool, layer: dict = _FORMULA) -> str:
-    """Render ``node`` as a formula or a regular expression, as ``layer`` says."""
+def _render(node: Node, full: bool, layer: dict = _FORMULA, floor: int = 0) -> str:
+    """Render ``node`` as a formula or a regular expression, as ``layer`` says, in
+    parentheses if it is an infix node whose row is below ``floor``."""
     cls = type(node)
     role = layer.get(cls)
     if role is None:
@@ -80,30 +80,19 @@ def _render(node: Node, full: bool, layer: dict = _FORMULA) -> str:
             return _render(node.prop, full)  # type: ignore[attr-defined]
         return spelling
     if assoc is _LEFT or assoc is _RIGHT:
-        left = _operand(node.left, level, full, layer, assoc is _RIGHT)  # type: ignore
-        right = _operand(node.right, level, full, layer, assoc is _LEFT)  # type: ignore
+        left = _render(node.left, full, layer, level + (assoc is _RIGHT))  # type: ignore
+        right = _render(node.right, full, layer, level + (assoc is _LEFT))  # type: ignore
         text = f"{left} {spelling} {right}"
+        if level < floor:
+            return f"({text})"
     elif assoc is _PREFIX:
-        text = spelling + _operand(node.arg, level, full)  # type: ignore
+        text = spelling + _render(node.arg, full, _FORMULA, level)  # type: ignore
     elif assoc is _MODALITY:
         opening, closing = spelling
         regex = _render(node.regex, full, _REGEX)  # type: ignore[attr-defined]
-        text = f"{opening}{regex}{closing}{_operand(node.arg, level, full)}"  # type: ignore
+        text = f"{opening}{regex}{closing}{_render(node.arg, full, _FORMULA, level)}"  # type: ignore
     elif cls is RegexTest:  # the test's formula reaches up to its '?'
         text = _render(node.arg, full) + spelling  # type: ignore
     else:
-        text = _operand(node.arg, level, full, _REGEX) + spelling  # type: ignore
+        text = _render(node.arg, full, _REGEX, level) + spelling  # type: ignore
     return f"({text})" if full else text
-
-
-def _operand(child: Node, level: int, full: bool, layer: dict = _FORMULA,
-             tie: bool = False) -> str:
-    """Render an operand of an operator that binds at ``level``; ``tie`` says
-    whether a binary operand binding just as tightly needs parentheses too."""
-    text = _render(child, full, layer)
-    if full:
-        return text
-    child_level = _INFIX_LEVEL.get(type(child))
-    if child_level is not None and (child_level < level or (tie and child_level == level)):
-        return f"({text})"
-    return text

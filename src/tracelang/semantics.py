@@ -128,11 +128,15 @@ class Trace:
 
     @cached_property
     def steps(self) -> tuple[frozenset[str], ...]:
-        steps: list[list[str]] = [[] for _ in range(self._length)]
-        for atom in sorted(self.atom_masks):  # one order for every trace, so equal steps show alike
-            for step in compress(steps, map("1".__eq__, f"{self.atom_masks[atom]:b}"[::-1])):
+        n, masks = self._length, self._mirrored_masks
+        steps: list[list[str]] = [[] for _ in range(n)]
+        for atom in sorted(masks):  # one order for every trace, so equal steps show alike
+            # character i of a mirrored row at width n is step i, made a 0/1 selector
+            for step in compress(steps, f"{masks[atom]:0{n}b}".encode().translate(_SELECTOR)):
                 step.append(atom)
-        return tuple(map(frozenset, steps))
+        keys = list(map(tuple, steps))
+        shared = {key: frozenset(key) for key in set(keys)}  # one frozenset per distinct step
+        return tuple(map(shared.__getitem__, keys))
 
     def __getstate__(self) -> dict:  # a pickle or a copy holds the rows, not the steps
         return {name: value for name, value in vars(self).items() if name != "steps"}
@@ -145,6 +149,7 @@ class Trace:
 
 
 _REVERSED = bytes(int(f"{byte:08b}"[::-1], 2) for byte in range(256))
+_SELECTOR = bytes.maketrans(b"01", b"\0\1")
 
 
 # ------------------------------------------------------------- programs

@@ -24,10 +24,15 @@ from tracelang.parser import (
     Assoc,
     ParseError,
     ParseErrorKind,
-    _describe,
+    _spelled,
 )
 
 _K = TokenKind
+
+
+def _describe(token: Token) -> str:
+    return _spelled(token.lexeme)
+
 
 # the propositional steps inside a regex use the connectives every logic has
 _BOOLEAN_BINARY = frozenset(BINARY_NODES).intersection(*ACTIVE_KINDS.values())
