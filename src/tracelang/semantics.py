@@ -134,9 +134,7 @@ class Trace:
             # character i of a mirrored row at width n is step i, made a 0/1 selector
             for step in compress(steps, f"{masks[atom]:0{n}b}".encode().translate(_SELECTOR)):
                 step.append(atom)
-        keys = list(map(tuple, steps))
-        shared = {key: frozenset(key) for key in set(keys)}  # one frozenset per distinct step
-        return tuple(map(shared.__getitem__, keys))
+        return tuple(map(frozenset, steps))
 
     def __getstate__(self) -> dict:  # a pickle or a copy holds the rows, not the steps
         return {name: value for name, value in vars(self).items() if name != "steps"}

@@ -106,3 +106,19 @@ def test_operand_parentheses_are_exactly_the_needed_ones(logic, regex):
         assert (grouped in text) is needed, (text, bare)
         grouped_count += grouped in text
     assert 0 < grouped_count < len(cases)  # both outcomes are exercised
+
+
+# formulas whose parentheses depend on floors at more than one depth, as
+# written and as printed; one level of nesting is covered above
+_NESTED = [
+    (Logic.LTLF, "!(a U b) & F(c | d)", "!(a U b) & F(c | d)"),
+    (Logic.LDLF, "<(a ; b)* + c ; (d + e)>tt", "<(a ; b)* + c ; d + e>tt"),
+    (Logic.PLDLF, "[[(a + b) ; c*]](<<d>>tt -> ff)", "[[a + b ; c*]](<<d>>tt -> ff)"),
+]
+
+
+@pytest.mark.parametrize("logic, source, printed", _NESTED, ids=[source for _, source, _ in _NESTED])
+def test_nested_operands_print_exactly(logic, source, printed):
+    tree = parse(source, logic)
+    assert format_formula(tree) == printed
+    assert parse(printed, logic) == tree
