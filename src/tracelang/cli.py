@@ -11,15 +11,16 @@ from __future__ import annotations
 
 import argparse
 import errno
-import json
 import os
 import sys
 
 from .lexer import LexError, Logic
 from .parser import ParseError, parse
 from .printer import Style, format_formula
-from .semantics import EmptyTraceError, Trace, satisfies
 from .serialize import formula_to_dict
+
+# ``json`` and the evaluator are imported only by the commands that use them:
+# a process's start-up is most of what each command costs.
 
 
 class _CliError(Exception):
@@ -49,6 +50,8 @@ def _write(text: str) -> None:
 
 
 def _load_trace(path: str) -> Trace:
+    import json
+    from .semantics import Trace
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
@@ -74,6 +77,7 @@ _EXPECT_FIELDS = {"ok": "canonical", "error": "error_contains"}
 
 
 def _load_manifest(path: str) -> list[tuple[int, dict]]:
+    import json
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
@@ -147,20 +151,26 @@ def _cmd_fmt(args: argparse.Namespace) -> int:
 
 
 def _cmd_ast(args: argparse.Namespace) -> int:
+    import json
     node = parse(_read_source(args.source), Logic(args.logic))
     _write(json.dumps(formula_to_dict(node), separators=(",", ":")))
     return 0
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
+    from .semantics import EmptyTraceError, satisfies
     node = parse(_read_source(args.source), Logic(args.logic))
     trace = _load_trace(args.trace)
-    holds = satisfies(node, trace, Logic(args.logic))
+    try:
+        holds = satisfies(node, trace, Logic(args.logic))
+    except EmptyTraceError as error:
+        raise _CliError(error) from error
     _write("sat" if holds else "unsat")
     return 0 if holds else 1
 
 
 def _cmd_conformance(args: argparse.Namespace) -> int:
+    import json
     cases = _load_manifest(args.manifest)
     passed = 0
     for _, case in cases:
@@ -241,7 +251,7 @@ def main(argv: list[str] | None = None) -> int:
     except (LexError, ParseError) as error:
         print(error, file=sys.stderr)
         return 1
-    except (EmptyTraceError, _CliError) as error:
+    except _CliError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
 

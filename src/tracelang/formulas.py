@@ -7,7 +7,7 @@ hashable, and structural equality ignores how an atom was quoted.
 
 from __future__ import annotations
 
-from typing import Iterator
+from collections.abc import Iterator
 
 _set = object.__setattr__  # sets a field past the frozen Node.__setattr__
 

@@ -11,8 +11,9 @@ from __future__ import annotations
 import enum
 import functools
 import re
+from collections import namedtuple
+from collections.abc import Callable, Sequence
 from itertools import repeat
-from typing import Callable, NamedTuple, Sequence
 
 
 class Logic(enum.Enum):
@@ -83,13 +84,10 @@ class TokenKind(enum.Enum):
     STAR = enum.auto()
 
 
-class Token(NamedTuple):
+class Token(namedtuple("Token", "kind lexeme line column")):
     """One lexeme with its kind and 1-based source position."""
 
-    kind: TokenKind
-    lexeme: str
-    line: int
-    column: int
+    __slots__ = ()
 
 
 class LexErrorKind(enum.Enum):

@@ -17,7 +17,7 @@ logic, exactly the node classes that its tokens build.
 from __future__ import annotations
 
 import enum
-from typing import NamedTuple
+from collections import namedtuple
 
 from .formulas import (
     And,
@@ -83,18 +83,17 @@ class Assoc(enum.Enum):
     MODALITY = "modality"
 
 
-class Level(NamedTuple):
+class Level(namedtuple("Level", "kinds assoc")):
     """One precedence row: the operator tokens that share it and how they group."""
 
-    kinds: frozenset[TokenKind]
-    assoc: Assoc
+    __slots__ = ()
 
 
 def _level(assoc: Assoc, *kinds: TokenKind) -> Level:
     return Level(frozenset(kinds), assoc)
 
 
-class Operator(NamedTuple):
+class Operator(namedtuple("Operator", "kind spelling json closer", defaults=(None,))):
     """How one node class is written and named.
 
     ``kind`` is the token that builds the node, ``spelling`` its canonical
@@ -103,10 +102,7 @@ class Operator(NamedTuple):
     step has no operator, so no kind and no spelling.
     """
 
-    kind: TokenKind | None
-    spelling: str | tuple[str, str] | None
-    json: str
-    closer: TokenKind | None = None
+    __slots__ = ()
 
 
 # One row per node class; only Atom, which has a name instead, is handled apart.

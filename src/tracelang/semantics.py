@@ -29,9 +29,9 @@ Havelund and Roşu, "Synthesizing Monitors for Safety Properties", TACAS 2002).
 from __future__ import annotations
 
 import weakref
+from collections.abc import Callable, Iterable
 from functools import cached_property
 from itertools import compress
-from typing import Callable, Iterable
 
 from .lexer import ACTIVE_KINDS, Logic, TokenKind
 from .parser import OPERATORS, _STEP_LEAVES

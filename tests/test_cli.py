@@ -393,6 +393,18 @@ def test_the_command_line_starts_without_dataclasses_or_inspect():
     assert probe.stdout.strip() == b"[]"
 
 
+def test_the_command_line_starts_without_typing():
+    # -S: without `site`, whose .pth files may import typing on their own
+    env = dict(os.environ, PYTHONPATH=str(Path(tracelang.__file__).parents[1]))
+    probe = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys; before = set(sys.modules); import tracelang.cli; "
+         "print(sorted({'typing'} & set(sys.modules) - before))"],
+        capture_output=True, env=env, timeout=60, check=True,
+    )
+    assert probe.stdout.strip() == b"[]"
+
+
 def test_a_process_builds_only_the_scanners_it_uses():
     env = dict(os.environ, PYTHONPATH=str(Path(tracelang.__file__).parents[1]))
     probe = subprocess.run(
