@@ -162,6 +162,10 @@ class _Labeller:
     future logics read the trace's mirrored masks.  The dynamic logics have
     one position more than the trace has steps.  Every temporal operator is
     one shift or one ``since`` carry.
+
+    It is built from the trace and the logic alone, so one labeller serves
+    every formula evaluated on that trace under that logic (``_evaluator``
+    keeps the last one built).
     """
 
     def __init__(self, atom_masks: dict[str, int], n: int, width: int):
@@ -394,8 +398,8 @@ def _labeller(trace: Trace, logic: Logic) -> _Labeller:
 
 
 # the last label computed, with strong references to what it was computed
-# for, and the highest position it has
-_last: tuple = (None, None, None, 0, 0)
+# for, the highest position it has, and the labeller it was computed with
+_last: tuple = (None, None, None, 0, 0, None)
 # each logic's evaluator, filed by ``_evaluator``
 _EVALUATORS: dict[Logic, Callable[[Node, Trace, int], bool]] = {}
 
@@ -403,25 +407,32 @@ _EVALUATORS: dict[Logic, Callable[[Node, Trace, int], bool]] = {}
 def _evaluator(logic: Logic) -> Callable[[Callable], Callable[[Node, Trace, int], bool]]:
     """A decorator that puts the evaluator of ``logic``, which reads one bit of
     a node's label, in place of a stub, under the stub's name and docstring,
-    and files it in ``_EVALUATORS``.  The last label is kept with its highest
-    position, so asking about every position of one trace in turn labels once
-    and reads each bit without a call."""
+    and files it in ``_EVALUATORS``.  Only the last label is kept, with its
+    highest position, so asking about every position of one trace in turn
+    labels once and reads each bit without a call.  The labeller it was
+    computed with is kept beside it and serves every formula asked about while
+    calls stay on that trace object under that logic; a call on another trace
+    object or under another logic builds a new one."""
     name, low, offset, past = _POSITIONS[logic]
 
     def evaluate(node: Node, trace: Trace, position: int) -> bool:
         global _last
-        last_node, last_trace, last_logic, label, high = _last
-        if not (last_node is node and last_trace is trace and last_logic is logic):
+        last_node, last_trace, last_logic, label, high, s = _last
+        if last_trace is not trace or last_logic is not logic:
             if not isinstance(trace, Trace):
                 raise TypeError(f"{name} is evaluated on a Trace, not a {type(trace).__name__}")
-            label, high = None, trace._length + offset
+            s, label, high = None, None, trace._length + offset
+        elif last_node is not node:
+            label = None
         if not low <= position <= high:
             if high < low:
                 raise EmptyTraceError(f"{name} formulas have no value on the empty trace")
             raise PositionOutOfRangeError(f"position {position} outside [{low}, {high}]")
         if label is None:
-            label = _program(node, logic)(_labeller(trace, logic))
-            _last = (node, trace, logic, label, high)
+            if s is None:
+                s = _labeller(trace, logic)
+            label = _program(node, logic)(s)
+            _last = (node, trace, logic, label, high, s)
         # counted from the far end of the way the logic looks
         return bool(label >> (position - low if past else high - position) & 1)
 

@@ -162,25 +162,37 @@ def test_globally_until_is_fast():
 
 
 def test_one_labelling_serves_every_position_and_only_the_last_is_kept(monkeypatch):
-    built = []
+    labelled, built = [], []  # the programs run, and the labellers built
+    program_of = semantics._program
+
+    def counting_program(node, logic):
+        program = program_of(node, logic)
+
+        def run(s):
+            labelled.append(node)
+            return program(s)
+
+        return run
 
     class Counting(semantics._Labeller):
         def __init__(self, *args):
             built.append(args[2])
             super().__init__(*args)
 
+    monkeypatch.setattr(semantics, "_program", counting_program)
     monkeypatch.setattr(semantics, "_Labeller", Counting)
     trace = Trace([{"p"}, {"q"}, {"p"}, set()])
     f, g = Since(p, q), Since(q, p)
     for i in range(len(trace)):
         eval_pltlf(f, trace, i)
-    assert len(built) == 1
+    assert (len(labelled), len(built)) == (1, 1)
     eval_pltlf(g, trace, 0)
     eval_pltlf(f, trace, 0)
-    assert len(built) == 3
+    # each formula is labelled again, on the one labeller of the trace
+    assert (len(labelled), len(built)) == (3, 1)
     # an equal but distinct trace is labelled afresh
     eval_pltlf(f, Trace(trace.steps), 0)
-    assert len(built) == 4
+    assert (len(labelled), len(built)) == (4, 2)
 
 
 @pytest.mark.parametrize("logic, text, outside", [
