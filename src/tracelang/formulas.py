@@ -116,6 +116,8 @@ class Atom(Node):
     _fields = __match_args__ = ("name", "quoted")
 
     def __init__(self, name: str, quoted: bool = False) -> None:
+        if not isinstance(name, str):
+            raise TypeError(f"atom names must be strings, got {name!r}")
         _set(self, "name", name)
         _set(self, "quoted", quoted)
 

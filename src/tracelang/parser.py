@@ -143,6 +143,8 @@ OPERATORS: dict[type, Operator] = {
     RegexUnion: Operator(_K.UNION, "+", "union"),
     RegexStar: Operator(_K.STAR, "*", "star"),
 }
+# the node classes of the regex layer: its operators and the step, which has no token
+_REGEX_CLASSES = frozenset(cls for cls, op in OPERATORS.items() if op.kind in REGEX_KINDS | {None})
 
 # All operators of all four logics, loosest-binding first.  A logic's table
 # keeps the operators it has, so a row's index orders the same rows in every

@@ -12,8 +12,8 @@ from __future__ import annotations
 import enum
 
 from .formulas import Atom, Node, RegexProp, RegexTest
-from .lexer import KEYWORDS, REGEX_KINDS, _NAME_CONT, _NAME_START, is_input_char
-from .parser import OPERATORS, _ASSOC, _ROW, Assoc
+from .lexer import KEYWORDS, _NAME_CONT, _NAME_START, is_input_char
+from .parser import OPERATORS, _ASSOC, _REGEX_CLASSES, _ROW, Assoc
 
 
 class Style(enum.Enum):
@@ -30,8 +30,7 @@ class UnprintableAtomError(ValueError):
 # steps have no row
 _ROLES = {cls: (op.spelling, _ROW.get(op.kind), _ASSOC.get(op.kind))
           for cls, op in OPERATORS.items()}
-_REGEX = {cls: role for cls, role in _ROLES.items()
-          if cls is RegexProp or OPERATORS[cls].kind in REGEX_KINDS}
+_REGEX = {cls: role for cls, role in _ROLES.items() if cls in _REGEX_CLASSES}
 _FORMULA = {Atom: (None, None, None), **{c: r for c, r in _ROLES.items() if c not in _REGEX}}
 # bound once, as reading a member off the enum class is slow in a hot path
 _LEFT, _RIGHT, _PREFIX, _MODALITY = Assoc.LEFT, Assoc.RIGHT, Assoc.PREFIX, Assoc.MODALITY

@@ -24,6 +24,8 @@ A formula is compiled once per logic into a program, a closure per node that
 does only the bit operations, and that program labels every trace the
 formula is checked on (as monitors are synthesized once and then run, after
 Havelund and Roşu, "Synthesizing Monitors for Safety Properties", TACAS 2002).
+Every node class, the regex classes included, has one builder in one table,
+and one compiler reads both layers: a regex's program builds its transformer.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from functools import cached_property
 from itertools import compress
 
 from .lexer import ACTIVE_KINDS, Logic, TokenKind
-from .parser import OPERATORS, _STEP_LEAVES
+from .parser import OPERATORS, _REGEX_CLASSES, _STEP_LEAVES
 from .formulas import (
     Always,
     And,
@@ -182,15 +184,15 @@ class _Labeller:
         return (u ^ (u & (u + b))) | b
 
 
-# A program labels one formula: it maps a labeller to the formula's label.
-_Program = Callable[[_Labeller], int]
 # The predecessor transformer of a regex on a trace maps a set of positions to
 # those where some path of the regex starts and ends inside it.  Where no path
 # takes two steps in a row it is a pair ``(H, G)`` for ``T -> (T & H) | (G &
 # (T << 1))``: a test is a filter ``(H, 0)``, a step a guarded shift ``(0, G)``.
-# Any other is a function.  A transformer program builds it from a labeller.
+# Any other is a function.
 _Pre = tuple[int, int] | Callable[[int], int]
-_Transformer = Callable[[_Labeller], _Pre]
+# A program maps a labeller to a formula's label or, in the regex layer, to a
+# regex's transformer, built once a trace so that applying it does bit ops only.
+_Program = Callable[[_Labeller], int | _Pre]
 
 
 def _apply(pre: _Pre, target: int) -> int:
@@ -236,51 +238,36 @@ def _star(s: _Labeller, body: _Pre) -> _Pre:
     return fixpoint
 
 
-def _compile(f: Node, logic: Logic | None) -> _Program:
-    """The program of ``f`` under ``logic``, which type-checks every node.
+def _compile(f: Node, logic: Logic | None, layer: str | None = None) -> _Program:
+    """The program of ``f`` under ``logic``, or of the regex ``f`` in the
+    ``"regex"`` layer, which type-checks every node.
 
-    Operands are compiled here, so each nesting level costs one frame.
+    Operands are compiled here, so each nesting level costs one frame, and
+    two in a regex, which ``_transformer`` enters.  A regex's operands are
+    regexes, but a test's formula is read under ``logic`` and a step's under
+    none.
     """
     cls = type(f)
-    builders, refusal = _RULES[logic]
+    builders, refusal = _RULES[layer or logic]
     build = builders.get(cls)
     if build is None:
         raise TypeError(f"{refusal}: {f!r}")
     shape = cls.__base__
+    operand = _compile if layer is None or cls is RegexTest else _transformer
     if shape is Binary:
-        return build(_compile(f.left, logic), _compile(f.right, logic))
+        return build(operand(f.left, logic), operand(f.right, logic))
     if shape is Unary:
-        return build(_compile(f.arg, logic))
+        if cls is RegexStar is type(f.arg):  # a star of a star is the inner star
+            return _transformer(f.arg, logic)
+        return build(operand(f.arg, logic))
     if shape is Modal:
         return build(_transformer(f.regex, logic), _compile(f.arg, logic))
-    return build(f)
+    return build(_compile(f.prop, None) if cls is RegexProp else f)
 
 
-def _transformer(r: Node, logic: Logic) -> _Transformer:
-    """The transformer program of ``r``, which type-checks every node.
-
-    It builds the transformer once a trace, from the labels of the regex's
-    steps and tests, so that applying it does bit operations only.
-    """
-    cls = type(r)
-    if cls is RegexProp:
-        label = _compile(r.prop, None)
-        # shifted up one and cut to the width, a step sits at the bit of the
-        # position it leaves, just above the position it moves to
-        return lambda s: (0, (label(s) << 1) & s.full)
-    if cls is RegexTest:
-        label = _compile(r.arg, logic)
-        return lambda s: (label(s), 0)
-    if cls is RegexStar:
-        if type(r.arg) is RegexStar:  # a star of a star is the inner star
-            return _transformer(r.arg, logic)
-        build = _transformer(r.arg, logic)
-        return lambda s: _star(s, build(s))
-    if cls is RegexConcat or cls is RegexUnion:
-        combine = _concat if cls is RegexConcat else _union
-        build_left, build_right = _transformer(r.left, logic), _transformer(r.right, logic)
-        return lambda s: combine(build_left(s), build_right(s))
-    raise TypeError(f"not a regular-expression node: {r!r}")
+def _transformer(r: Node, logic: Logic) -> _Program:
+    """The program of the regex ``r`` under ``logic``, which builds its transformer."""
+    return _compile(r, logic, "regex")
 
 
 def _shared(program: _Program) -> Callable[[Node], _Program]:
@@ -294,10 +281,10 @@ def _atom(f: Atom) -> _Program:
 
 
 # A builder gets, by the shape its node's class derives from: a leaf, the
-# node itself; a unary or binary node, the programs of its operands; a
-# modality, the transformer program of its regex and the program of its
-# argument.  It returns the node's program, which reads no node.  Every
-# label lies inside ``s.full``, so XOR with it is the complement.
+# node itself; a unary or binary node, and a step, the programs of its
+# operands; a modality, the programs of its regex and its argument.  It
+# returns the node's program, which reads no node.  Every label lies inside
+# ``s.full``, so XOR with it is the complement.
 _BUILDERS = {
     Atom: _atom,
     TrueConst: _shared(lambda s: s.steps),
@@ -322,6 +309,13 @@ _BUILDERS = {
     StrongRelease: lambda a, b: lambda s: s.since(y := b(s), a(s) & y),
     BackDiamond: lambda r, a: lambda s: _apply(r(s), a(s)),
     BackBox: lambda r, a: lambda s: s.full ^ _apply(r(s), s.full ^ a(s)),
+    # shifted up one and cut to the width, a step sits at the bit of the
+    # position it leaves, just above the position it moves to
+    RegexProp: lambda a: lambda s: (0, (a(s) << 1) & s.full),
+    RegexTest: lambda a: lambda s: (a(s), 0),
+    RegexStar: lambda r: lambda s: _star(s, r(s)),
+    RegexConcat: lambda r, t: lambda s: _concat(r(s), t(s)),
+    RegexUnion: lambda r, t: lambda s: _union(r(s), t(s)),
 }
 # the future operators labelled, on the mirrored trace, by their past mirrors' builders
 _BUILDERS.update({future: _BUILDERS[past] for future, past in (
@@ -330,15 +324,15 @@ _BUILDERS.update({future: _BUILDERS[past] for future, past in (
 
 
 def _rules(kinds: frozenset[TokenKind], refusal: str) -> tuple[dict, str]:
-    """The builders of the node classes that ``kinds`` build, and how any
+    """The builders of the formula classes that ``kinds`` build, and how any
     other node is refused."""
-    return {cls: build for cls, build in _BUILDERS.items()
-            if (OPERATORS[cls].kind if cls is not Atom else TokenKind.ATOM) in kinds}, refusal
+    return {cls: build for cls, build in _BUILDERS.items() if cls not in _REGEX_CLASSES
+            and (OPERATORS[cls].kind if cls is not Atom else TokenKind.ATOM) in kinds}, refusal
 
 
-# A logic admits the node classes that its tokens build, less the leaves of
-# the steps inside its regexes.  A step admits the boolean layer that every
-# logic shares, without ``tt`` and ``ff``.
+# A logic admits the formula classes that its tokens build, less the leaves
+# of the steps inside its regexes.  A step admits the boolean layer that every
+# logic shares, without ``tt`` and ``ff``, and the regex layer the regex classes.
 _RULES = {
     None: _rules(frozenset.intersection(*ACTIVE_KINDS.values()) - {TokenKind.TT, TokenKind.FF},
                  "not a propositional formula"),
@@ -347,6 +341,7 @@ _RULES = {
         (Logic.PLTLF, "not a PLTLf formula"),
         (Logic.LDLF, "not an LDLf formula at formula level"),
         (Logic.PLDLF, "not a PLDLf formula at formula level"))},
+    "regex": ({cls: _BUILDERS[cls] for cls in _REGEX_CLASSES}, "not a regular-expression node"),
 }
 
 

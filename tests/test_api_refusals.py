@@ -1,8 +1,11 @@
 """Public functions refuse a bad argument with a documented exception type:
 ``ValueError`` for a logic or a style given by name, ``TypeError`` for a
-trace that is not a :class:`Trace` or a tree that is not a node."""
+trace that is not a :class:`Trace`, a tree that is not a node or an atom
+name that is not a string."""
 
 from __future__ import annotations
+
+import re
 
 import pytest
 
@@ -21,6 +24,7 @@ from tracelang import (
     eval_pldlf,
     eval_pltlf,
     format_formula,
+    formula_to_dict,
     node_count,
     parse,
     parse_ltlf,
@@ -105,3 +109,16 @@ def test_regex_reach_refuses_a_trace_that_is_not_a_trace(direction):
 def test_the_tree_helpers_refuse_what_is_not_a_node(call):
     with pytest.raises(TypeError, match="^not a syntax-tree node: 'a'$"):
         call()
+
+
+@pytest.mark.parametrize("name", [5, None, ["a"], b"a"], ids=repr)
+def test_an_atom_refuses_a_name_that_is_not_a_string(name):
+    with pytest.raises(TypeError, match=f"^atom names must be strings, got {re.escape(repr(name))}$"):
+        Atom(name)
+
+
+def test_an_empty_atom_name_builds_and_round_trips():
+    empty = Atom("")
+    assert format_formula(empty) == '""'
+    assert parse('""', Logic.LTLF) == empty
+    assert formula_to_dict(empty) == {"op": "atom", "name": ""}
