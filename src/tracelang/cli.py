@@ -32,21 +32,28 @@ def _read_source(path: str) -> str:
         if path == "-":
             if sys.stdin is None:  # fd 0 was closed when the interpreter started
                 raise OSError(errno.EBADF, "stdin is closed")
-            data = sys.stdin.buffer.read()
+            # a text stream without a binary buffer, such as a StringIO, reads as text
+            data = getattr(sys.stdin, "buffer", sys.stdin).read()
         else:
             with open(path, "rb") as handle:
                 data = handle.read()
     except OSError as error:
         raise _CliError(f"cannot read {path}: {error}") from error
     # a byte that is not UTF-8 reads as U+FFFD, which the lexer rejects in place
-    return data.decode("utf-8", "replace")
+    return data if isinstance(data, str) else data.decode("utf-8", "replace")
 
 
 def _write(text: str) -> None:
-    """Print ``text`` as a line of output; a closed or unwritable stdout raises ``OSError``."""
+    """Print ``text`` as a line of output, with each character that stdout's
+    encoding cannot take as a backslash escape, as on stderr; a closed or
+    unwritable stdout raises ``OSError``."""
     if sys.stdout is None:  # fd 1 was closed when the interpreter started
         raise OSError(errno.EBADF, "stdout is closed")
-    print(text, flush=True)  # so a failed write shows up here, not at exit
+    try:
+        print(text, flush=True)  # so a failed write shows up here, not at exit
+    except UnicodeEncodeError:  # raised before anything of ``text`` is written
+        encoding = sys.stdout.encoding
+        print(text.encode(encoding, "backslashreplace").decode(encoding), flush=True)
 
 
 def _load_trace(path: str) -> Trace:

@@ -330,17 +330,22 @@ def _rules(kinds: frozenset[TokenKind], refusal: str) -> tuple[dict, str]:
             and (OPERATORS[cls].kind if cls is not Atom else TokenKind.ATOM) in kinds}, refusal
 
 
+# each logic's name, how it refuses a node, the bounds of its positions on a
+# trace of n steps as offsets from 0 and from n, and whether it looks into the past
+_LOGICS = {
+    Logic.LTLF: ("LTLf", "not an LTLf formula", 0, -1, False),
+    Logic.PLTLF: ("PLTLf", "not a PLTLf formula", 0, -1, True),
+    Logic.LDLF: ("LDLf", "not an LDLf formula at formula level", 0, 0, False),
+    Logic.PLDLF: ("PLDLf", "not a PLDLf formula at formula level", -1, -1, True),
+}
 # A logic admits the formula classes that its tokens build, less the leaves
 # of the steps inside its regexes.  A step admits the boolean layer that every
 # logic shares, without ``tt`` and ``ff``, and the regex layer the regex classes.
 _RULES = {
     None: _rules(frozenset.intersection(*ACTIVE_KINDS.values()) - {TokenKind.TT, TokenKind.FF},
                  "not a propositional formula"),
-    **{logic: _rules(ACTIVE_KINDS[logic] - _STEP_LEAVES[logic], refusal) for logic, refusal in (
-        (Logic.LTLF, "not an LTLf formula"),
-        (Logic.PLTLF, "not a PLTLf formula"),
-        (Logic.LDLF, "not an LDLf formula at formula level"),
-        (Logic.PLDLF, "not a PLDLf formula at formula level"))},
+    **{logic: _rules(ACTIVE_KINDS[logic] - _STEP_LEAVES[logic], refusal)
+       for logic, (_, refusal, *_) in _LOGICS.items()},
     "regex": ({cls: _BUILDERS[cls] for cls in _REGEX_CLASSES}, "not a regular-expression node"),
 }
 
@@ -375,19 +380,9 @@ def eval_prop(node: Node, step: Iterable[str]) -> bool:
     return _program(node, None)(_Labeller(Trace([step]).atom_masks, 1, 1)) == 1
 
 
-# each logic's name, the bounds of its positions on a trace of n steps as
-# offsets from 0 and from n, and whether it looks into the past
-_POSITIONS = {
-    Logic.LTLF: ("LTLf", 0, -1, False),
-    Logic.PLTLF: ("PLTLf", 0, -1, True),
-    Logic.LDLF: ("LDLf", 0, 0, False),
-    Logic.PLDLF: ("PLDLf", -1, -1, True),
-}
-
-
 def _labeller(trace: Trace, logic: Logic) -> _Labeller:
     """The labeller of ``trace`` under ``logic``, one bit for each position."""
-    _, low, high, past = _POSITIONS[logic]
+    _, _, low, high, past = _LOGICS[logic]
     n = trace._length
     return _Labeller(trace.atom_masks if past else trace._mirrored_masks, n, n + high - low + 1)
 
@@ -395,20 +390,17 @@ def _labeller(trace: Trace, logic: Logic) -> _Labeller:
 # the last label computed, with strong references to what it was computed
 # for, the highest position it has, and the labeller it was computed with
 _last: tuple = (None, None, None, 0, 0, None)
-# each logic's evaluator, filed by ``_evaluator``
-_EVALUATORS: dict[Logic, Callable[[Node, Trace, int], bool]] = {}
 
 
-def _evaluator(logic: Logic) -> Callable[[Callable], Callable[[Node, Trace, int], bool]]:
-    """A decorator that puts the evaluator of ``logic``, which reads one bit of
-    a node's label, in place of a stub, under the stub's name and docstring,
-    and files it in ``_EVALUATORS``.  Only the last label is kept, with its
-    highest position, so asking about every position of one trace in turn
-    labels once and reads each bit without a call.  The labeller it was
-    computed with is kept beside it and serves every formula asked about while
-    calls stay on that trace object under that logic; a call on another trace
-    object or under another logic builds a new one."""
-    name, low, offset, past = _POSITIONS[logic]
+def _evaluator(logic: Logic, doc: str) -> Callable[[Node, Trace, int], bool]:
+    """The evaluator of ``logic``, named ``eval_<logic>`` and documented by
+    ``doc``, which reads one bit of a node's label.  Only the last label is
+    kept, with its highest position, so asking about every position of one
+    trace in turn labels once and reads each bit without a call.  The labeller
+    it was computed with is kept beside it and serves every formula asked about
+    while calls stay on that trace object under that logic; a call on another
+    trace object or under another logic builds a new one."""
+    name, _, low, offset, past = _LOGICS[logic]
 
     def evaluate(node: Node, trace: Trace, position: int) -> bool:
         global _last
@@ -431,44 +423,32 @@ def _evaluator(logic: Logic) -> Callable[[Callable], Callable[[Node, Trace, int]
         # counted from the far end of the way the logic looks
         return bool(label >> (position - low if past else high - position) & 1)
 
-    def replace(stub: Callable) -> Callable[[Node, Trace, int], bool]:
-        evaluate.__name__ = evaluate.__qualname__ = stub.__name__
-        evaluate.__doc__ = stub.__doc__
-        _EVALUATORS[logic] = evaluate
-        return evaluate
-
-    return replace
+    evaluate.__name__ = evaluate.__qualname__ = f"eval_{logic.value}"
+    evaluate.__doc__ = doc
+    return evaluate
 
 
-@_evaluator(Logic.LTLF)
-def eval_ltlf(node: Node, trace: Trace, position: int) -> bool:
-    """Evaluate an LTLf formula at ``position`` (0-based, inside the trace).
+eval_ltlf = _evaluator(
+    Logic.LTLF, """Evaluate an LTLf formula at ``position`` (0-based, inside the trace).
 
     The empty trace has no positions and raises :class:`EmptyTraceError`.
-    """
-
-
-@_evaluator(Logic.PLTLF)
-def eval_pltlf(node: Node, trace: Trace, position: int) -> bool:
-    """Evaluate a PLTLf formula at ``position``; past operators look toward 0."""
-
-
-@_evaluator(Logic.LDLF)
-def eval_ldlf(node: Node, trace: Trace, position: int) -> bool:
-    """Evaluate an LDLf formula at ``position`` in ``[0, len(trace)]``.
+    """)
+eval_pltlf = _evaluator(
+    Logic.PLTLF, """Evaluate a PLTLf formula at ``position``; past operators look toward 0.""")
+eval_ldlf = _evaluator(
+    Logic.LDLF, """Evaluate an LDLf formula at ``position`` in ``[0, len(trace)]``.
 
     The position just past the last step is legal: ``tt`` still holds there,
     while any diamond that needs to move does not.
-    """
-
-
-@_evaluator(Logic.PLDLF)
-def eval_pldlf(node: Node, trace: Trace, position: int) -> bool:
-    """Evaluate a PLDLf formula at ``position`` in ``[-1, len(trace) - 1]``.
+    """)
+eval_pldlf = _evaluator(
+    Logic.PLDLF, """Evaluate a PLDLf formula at ``position`` in ``[-1, len(trace) - 1]``.
 
     The position just before the first step is legal, mirroring LDLf's
     position past the end.
-    """
+    """)
+_EVALUATORS = {Logic.LTLF: eval_ltlf, Logic.PLTLF: eval_pltlf,
+               Logic.LDLF: eval_ldlf, Logic.PLDLF: eval_pldlf}
 
 
 def regex_reach(
@@ -488,7 +468,7 @@ def regex_reach(
     if not isinstance(trace, Trace):
         raise TypeError(f"regex_reach reads a Trace, not a {type(trace).__name__}")
     logic = Logic.LDLF if direction == "forward" else Logic.PLDLF
-    _, low, offset, past = _POSITIONS[logic]
+    _, _, low, offset, past = _LOGICS[logic]
     high = trace._length + offset
     pre = _transformer(regex, logic)(_labeller(trace, logic))
     at = range(low, high + 1) if past else range(high, low - 1, -1)  # bit -> position
@@ -508,7 +488,7 @@ def satisfies(node: Node, trace: Trace, logic: Logic) -> bool:
     """
     if not isinstance(logic, Logic):
         raise ValueError(f"unknown logic: {logic!r}")
-    past = _POSITIONS[logic][3]
+    past = _LOGICS[logic][4]
     if past and not isinstance(trace, Trace):  # the anchor reads it; evaluators check the rest
         raise TypeError(f"satisfies reads a Trace, not a {type(trace).__name__}")
     return _EVALUATORS[logic](node, trace, trace._length - 1 if past else 0)
